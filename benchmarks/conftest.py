@@ -11,3 +11,5 @@ import os
 import sys
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+# Test-side reference paths (tests/hhe_reference.py) the comparators use.
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "tests"))

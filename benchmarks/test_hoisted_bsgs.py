@@ -6,8 +6,8 @@ SAME scheme and the SAME block batch:
 
 * ``bsgs_unhoisted`` — the prior fastest path, restored exactly: every
   baby rotation pays a full digit decomposition through the object-dtype
-  bigint CRT round trip (``engine.exact_digits = False``), babies chained
-  one keyswitch at a time (``hoisted=False``);
+  bigint CRT round trip (``hhe_reference.bigint_digits``), babies chained
+  one keyswitch at a time (``hhe_reference.UnhoistedBsgsServer``);
 * ``bsgs_hoisted`` — the shipped default: one RNS-native int64 digit
   decomposition shared by all bs - 1 baby rotations per affine side
   (Halevi-Shoup), lazy-reduction NTT stages underneath.
@@ -23,6 +23,7 @@ Results land in ``benchmarks/BENCH_hoisted_bsgs.json`` (CI artifact,
 gated by ``repro perfgate`` against ``benchmarks/baselines/``).
 """
 
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -30,6 +31,8 @@ from pathlib import Path
 from repro.fhe import BatchEncoder, Bfv, toy_parameters
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
 from repro.pasta import PASTA_MICRO, Pasta, PastaParams, homomorphic_op_counts, random_key
+
+from hhe_reference import UnhoistedBsgsServer, bigint_digits
 
 SPEEDUP_FLOOR = 1.5
 BENCH_JSON = Path(__file__).parent / "BENCH_hoisted_bsgs.json"
@@ -75,17 +78,18 @@ def test_hoisted_bsgs_throughput(capsys):
         "engines": {},
     }
     decryptions = {}
-    for label, hoisted in (("bsgs_unhoisted", False), ("bsgs_hoisted", True)):
-        server = BatchedHheServer(
-            PASTA_BSGS, scheme, rlk, encoder, enc_key,
-            engine="bsgs", galois_keys=gk, hoisted=hoisted,
+    for label, server_class in (
+        ("bsgs_unhoisted", UnhoistedBsgsServer), ("bsgs_hoisted", BatchedHheServer)
+    ):
+        server = server_class(
+            PASTA_BSGS, scheme, rlk, encoder, enc_key, engine="bsgs", galois_keys=gk,
         )
+        hoisted = server.hoisted
         # The unhoisted comparator is the true pre-hoisting path: per-baby
         # keyswitch AND the object-dtype bigint digit decomposition the
-        # RNS-native int64 path replaced. The flag is read per call, so
-        # flipping it on the shared engine scopes to this run only.
-        scheme.engine.exact_digits = hoisted
-        try:
+        # RNS-native int64 path replaced, scoped to this run only.
+        digits = contextlib.nullcontext() if hoisted else bigint_digits(scheme.engine)
+        with digits:
             # Warm run: populates the prepared-plaintext LRUs (cached
             # across calls in production) so the timed run measures the
             # evaluation.
@@ -96,8 +100,6 @@ def test_hoisted_bsgs_throughput(capsys):
                 start = time.perf_counter()
                 result = server.transcipher_blocks(blocks, nonce=9, counters=counters)
                 best = min(best, time.perf_counter() - start)
-        finally:
-            scheme.engine.exact_digits = True
         decryptions[label] = decrypt_batched_result(scheme, sk, encoder, result)
         formula = "bsgs_hoisted" if hoisted else "bsgs"
         measured = {

@@ -27,18 +27,20 @@ from repro.obs.noise import divergence_report
 from repro.pasta import Pasta, PastaParams, random_key
 from repro.ff.params import P17, P33
 
+from hhe_reference import UnhoistedBsgsServer
+
 BENCH_JSON = Path(__file__).parent / "BENCH_noise_headroom.json"
 
 N = 256
-#: label -> (server eval engine, hoisted flag). ``bsgs`` is the shipped
-#: default (hoisted baby rotations); ``bsgs_unhoisted`` pins the chained
-#: per-rotation keyswitch path so BOTH bsgs_affine growth rules stay under
-#: the soundness gate.
+#: label -> (server eval engine, server class). ``bsgs`` is the shipped
+#: default (hoisted baby rotations); ``bsgs_unhoisted`` runs the chained
+#: per-rotation keyswitch reference kernel so BOTH bsgs_affine growth
+#: rules stay under the soundness gate.
 ENGINES = {
-    "scalar": ("scalar", True),
-    "tensor": ("tensor", True),
-    "bsgs": ("bsgs", True),
-    "bsgs_unhoisted": ("bsgs", False),
+    "scalar": ("scalar", BatchedHheServer),
+    "tensor": ("tensor", BatchedHheServer),
+    "bsgs": ("bsgs", BatchedHheServer),
+    "bsgs_unhoisted": ("bsgs", UnhoistedBsgsServer),
 }
 
 #: Fraction of the total budget the deepest path may consume end-to-end.
@@ -84,10 +86,10 @@ def test_noise_headroom_sound_and_positive(capsys):
 
         width = {"log2_q": log2_q, "budget_bits": scheme.noise_model.budget_bits,
                  "engines": {}}
-        for engine, (eval_engine, hoisted) in ENGINES.items():
-            server = BatchedHheServer(
+        for engine, (eval_engine, server_class) in ENGINES.items():
+            server = server_class(
                 pasta, scheme, rlk, encoder, enc_key,
-                engine=eval_engine, hoisted=hoisted,
+                engine=eval_engine,
                 galois_keys=gk if eval_engine == "bsgs" else None,
             )
             result = server.transcipher_blocks([block], nonce=9, counters=[0])

@@ -12,7 +12,7 @@ from __future__ import annotations
 from repro.eval.result import ExperimentResult
 from repro.fhe.bfv import toy_parameters
 from repro.hhe.protocol import HheClient, HheServer
-from repro.pasta.decrypt_circuit import KeystreamCircuit
+from repro.pasta.decrypt_circuit import KeystreamCircuit, homomorphic_op_counts
 from repro.pasta.params import PASTA_3, PASTA_4, PASTA_MICRO, PastaParams
 
 
@@ -33,13 +33,14 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
 
     for params in (PASTA_3, PASTA_4):
         depth = KeystreamCircuit.multiplicative_depth(params)
+        counts = homomorphic_op_counts(params)
         rows.append(
             [
                 params.name,
                 params.t,
                 depth,
-                params.affine_layers * 2 * params.t * params.t,  # plain muls
-                (params.rounds - 1) * (2 * params.t - 1) + 2 * 2 * params.t,  # ct muls
+                counts["plain_muls"],
+                counts["squares"] + counts["muls"],  # ct muls
                 round(symmetric_expansion(params), 2),
             ]
         )

@@ -238,10 +238,6 @@ class RnsEngine:
         else:
             self._tensor_lift = None
             self._tensor_rescale = None
-        #: Use the RNS-native int64 digit decomposition in relinearization /
-        #: keyswitching when the chain allows it. Public so benchmarks can
-        #: pin the object-dtype CRT round trip as a comparator.
-        self.exact_digits = True
         self._digit_cache: dict = {}
 
     # -- representation ----------------------------------------------------------
@@ -444,8 +440,10 @@ class RnsEngine:
         )
 
     def _digit_decomposer(self, base: int, count: int) -> Optional[ExactBaseDigits]:
-        """Cached RNS-native digit transport, None when the chain can't host it."""
-        if not self.exact_digits or self.ctx.dtype is object:
+        """Cached RNS-native digit transport, None when the chain can't host
+        it (then the object-dtype divmod path runs: the fallback, and the
+        bit-exact reference the int64 path is tested against)."""
+        if self.ctx.dtype is object:
             return None
         key = (base, count)
         if key not in self._digit_cache:

@@ -13,27 +13,31 @@ Cost intuition (reported by the ``hhe_cost`` experiment): the homomorphic
 operation count per evaluation is unchanged, so the per-block cost drops
 by ~B at the price of polynomially heavier plain multiplications.
 
-Two evaluation engines share that circuit:
+Every evaluation engine runs the one round program
+(:func:`repro.pasta.decrypt_circuit.run_program`) on its own state layout
+— kernels plus a per-step op-cost table — and every call gets its own op
+counts:
 
-* ``engine="scalar"`` — one :class:`~repro.fhe.bfv.Ciphertext` object per
-  state element, one scheme call per homomorphic op (the original path,
-  retained bit-exact).
-* ``engine="tensor"`` — the t state ciphertexts live in one
-  :class:`~repro.fhe.engine.CiphertextTensor` ``(t, 2, L, N)`` NTT-domain
-  residue ndarray; each affine layer side is a single prepared-matrix
-  einsum per residue prime plus a broadcast round-constant add, and the
-  S-boxes run batched square/multiply kernels. Requires the RNS engine.
-  Both engines produce bit-identical ciphertext residues and identical op
-  counts.
+* ``engine="scalar"`` — the list layout
+  :class:`~repro.pasta.decrypt_circuit.KeystreamCircuit` runs,
+  over a :class:`~repro.hhe.backend.SlotBackend` with prepared-handle
+  constants: one ciphertext per state element, one scheme call per op.
+  Runs on the big-int engine too; the bit-exact reference for ``tensor``.
+* ``engine="tensor"`` — each state side is one ``(t, 2, L, N)`` NTT-domain
+  :class:`~repro.fhe.engine.CiphertextTensor`; an affine side is one
+  prepared-matrix einsum per residue prime plus a broadcast round-constant
+  add, the S-boxes batched square/multiply kernels. Requires the RNS
+  engine; same residues and op counts as ``scalar``.
 * ``engine="bsgs"`` — the *packed* layout: ONE ciphertext per state side
-  carries the whole t-element state across slot groups (state j of block b
-  sits at logical slot ``j * group + b``), and each affine layer side runs
-  by the baby-step/giant-step diagonal method — t diagonal plaintext
-  products plus O(sqrt t) Galois rotations instead of t^2 plain muls.
+  carries the whole state (state j of block b at logical slot
+  ``j * group + b``); each affine layer runs both sides by the hoisted
+  baby-step/giant-step diagonal method — t diagonal plaintext products
+  plus O(sqrt t) Galois rotations per side instead of t^2 plain muls.
   Requires the RNS engine *and* a :class:`~repro.fhe.bfv.GaloisKey`
   covering :meth:`BatchedHheServer.required_rotation_steps`;
   ``engine="auto"`` (the default) picks it whenever both are available,
-  falling back to ``tensor`` (RNS without rotation keys) then ``scalar``.
+  falling back to ``tensor`` then ``scalar``. A batch beyond the packed
+  capacity runs on the tensor layout for that call.
 """
 
 from __future__ import annotations
@@ -53,9 +57,17 @@ from repro.fhe.galois import (
     rotation_element,
     slots_to_logical,
 )
-from repro.hhe.backend import BfvOpCounts
+from repro.hhe.backend import BfvOpCounts, SlotBackend
 from repro.pasta.batch import get_engine
-from repro.pasta.decrypt_circuit import bsgs_split
+from repro.pasta.decrypt_circuit import (
+    PACKED_SIDES,
+    CircuitLayout,
+    ListLayout,
+    bsgs_split,
+    packed_costs,
+    run_program,
+    slot_costs,
+)
 from repro.pasta.params import PastaParams
 
 #: Default prepared-plaintext budget, in slot rows (one encoded plaintext
@@ -94,6 +106,13 @@ def encrypt_key_batched(
 class BatchedHheServer:
     """Evaluate PASTA decryption over slot-packed BFV ciphertexts."""
 
+    #: Share one digit decomposition across the packed layout's baby
+    #: rotations (Halevi-Shoup hoisting). Production always hoists; a
+    #: subclass that sets this False runs the chained per-rotation
+    #: keyswitch kernel, kept as the reference the parity tests and the
+    #: hoisting benchmark compare against.
+    hoisted = True
+
     def __init__(
         self,
         params: PastaParams,
@@ -105,7 +124,6 @@ class BatchedHheServer:
         galois_keys: Optional[GaloisKey] = None,
         tenant: str = "default",
         prepared_budget: Optional[CacheBudget] = None,
-        hoisted: bool = True,
     ):
         if scheme.params.p != params.p:
             raise ParameterError("BFV plaintext modulus must equal the PASTA prime")
@@ -160,111 +178,35 @@ class BatchedHheServer:
         #: ("scalar" | "tensor" | "bsgs"). Named ``eval_engine`` because
         #: ``engine`` is the keystream engine below.
         self.eval_engine = engine
-        #: Share one digit decomposition across the BSGS baby rotations
-        #: (Halevi-Shoup hoisting). ``False`` pins the per-rotation
-        #: keyswitch path — the perf baseline and the parity comparator.
-        self.hoisted = bool(hoisted)
         #: Shared batched keystream engine: materials and matrices for the
         #: public (nonce, counter) schedule come from its LRU, so serving
         #: the same stream twice never re-derives them.
         self.engine = get_engine(params)
 
-        # Prepared-plaintext caches keyed by the public schedule. The affine
-        # constants depend only on (nonce, counters, layer, side, row[, col]),
-        # so re-serving a schedule skips both the slot encode and — under the
-        # RNS engine — the forward NTT of every matrix/round-constant
-        # plaintext (the handle caches its eval form after first use).
-        #
-        # These used to be per-server ``lru_cache`` closures (maxsize
-        # 8192/4096 each): individually bounded, unbounded in aggregate once
-        # every tenant gets its own server. They are now :class:`BudgetedLru`
-        # instances costed in slot rows against ONE shared
-        # :class:`CacheBudget` — per-server by default, process-global when
-        # the multi-tenant front end passes its budget in — with eviction
-        # pressure applied to whichever tenant holds the most rows, so a hot
-        # tenant cannot push a cold one below its fair share.
+        # Prepared-plaintext caches keyed by the public schedule (nonce,
+        # counters, layer, side[, row, col]): re-serving a schedule skips the
+        # slot encode and, under the RNS engine, the forward NTT of every
+        # matrix/round-constant plaintext. Each layout fills its own kinds.
+        # Entries are costed in slot rows (one encoded polynomial = one row)
+        # against ONE shared CacheBudget — per server by default,
+        # process-global when the multi-tenant front end passes its budget
+        # in — with eviction pressure on whichever tenant holds the most
+        # rows, so a hot tenant cannot push a cold one below its fair share.
         self.tenant = tenant
-        t = params.t
         self.prepared_budget = prepared_budget or CacheBudget(DEFAULT_PREPARED_ROWS)
-        self._caches: Dict[str, BudgetedLru] = {}
-
-        def _cache(kind: str, rows: float) -> BudgetedLru:
-            lru = BudgetedLru(
+        t = params.t
+        rows = {"matrix": 1, "rc": 1, "matrix_tensor": t * t, "rc_tensor": t}
+        if engine == "bsgs":
+            bs, giants = bsgs_split(t)
+            rows.update(diags_bsgs=bs * giants, rc_bsgs=2)
+        self._caches: Dict[str, BudgetedLru] = {
+            kind: BudgetedLru(
                 owner=tenant,
                 budget=self.prepared_budget,
-                cost_of=lambda key, value, rows=rows: rows,
+                cost_of=lambda key, value, n=float(n): n,
             )
-            self._caches[kind] = lru
-            return lru
-
-        matrix_cache = _cache("matrix", 1.0)
-        rc_cache = _cache("rc", 1.0)
-        matrix_tensor_cache = _cache("matrix_tensor", float(t * t))
-        rc_tensor_cache = _cache("rc_tensor", float(t))
-
-        def _prepared_matrix(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str, j: int, k: int
-        ):
-            def build():
-                per_slot = [
-                    int(self.engine.matrix(nonce, c, layer, side)[j, k]) for c in counters
-                ]
-                return self.scheme.prepare_mul_plain(self.encoder.encode(per_slot))
-
-            return matrix_cache.get_or_create((nonce, counters, layer, side, j, k), build)
-
-        def _prepared_rc(nonce: int, counters: Tuple[int, ...], layer: int, side: str, j: int):
-            def build():
-                per_slot = [
-                    int(
-                        getattr(
-                            self.engine.materials(nonce, [c])[0].layers[layer], f"rc_{side}"
-                        )[j]
-                    )
-                    for c in counters
-                ]
-                return self.scheme.prepare_add_plain(self.encoder.encode(per_slot))
-
-            return rc_cache.get_or_create((nonce, counters, layer, side, j), build)
-
-        self._prepared_matrix = _prepared_matrix
-        self._prepared_rc = _prepared_rc
-
-        # Tensor-path prepared plaintexts: one (t, t, L, N) NTT-domain
-        # residue tensor per (nonce, counters, layer, side) — the whole
-        # affine matrix encodes with ONE batched slot-NTT (t^2 rows) and
-        # forward-transforms with one batched residue NTT, vs t^2 scalar
-        # handles. Entries cost t^2 budget rows apiece, so the shared budget
-        # keeps them correspondingly scarcer than scalar handles.
-        def _prepared_matrix_tensor(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
-            def build():
-                mats = np.stack(
-                    [np.asarray(self.engine.matrix(nonce, c, layer, side)) for c in counters],
-                    axis=-1,
-                )  # (t, t, B): slot b carries block b's matrix entry
-                encoded = self.encoder.encode_rows(mats.reshape(t * t, len(counters)))
-                return self.scheme.prepare_matrix(encoded.reshape(t, t, self.encoder.n))
-
-            return matrix_tensor_cache.get_or_create((nonce, counters, layer, side), build)
-
-        def _prepared_rc_tensor(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
-            def build():
-                materials = self.engine.materials(nonce, list(counters))
-                rows = np.stack(
-                    [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
-                    axis=-1,
-                )  # (t, B)
-                return self.scheme.prepare_add_rows(self.encoder.encode_rows(rows))
-
-            return rc_tensor_cache.get_or_create((nonce, counters, layer, side), build)
-
-        self._prepared_matrix_tensor = _prepared_matrix_tensor
-        self._prepared_rc_tensor = _prepared_rc_tensor
-
+            for kind, n in rows.items()
+        }
         if engine == "bsgs":
             self._init_bsgs()
 
@@ -344,343 +286,6 @@ class BatchedHheServer:
         )
         self._mask_first = self.scheme.prepare_mul_rows(self._encode_logical_rows(first))
 
-        # Prepared diagonal stacks per (schedule, layer, side): the G*bs
-        # generalized diagonals of the blocked affine matrix, pre-rotated
-        # for the giant-step Horner form, as ONE (G, bs, L, N) prepared
-        # matmul tensor. The budgeted cache plays the role the per-(j, k)
-        # handle cache plays for the slot engines.
-        bs_, giants_ = self._bsgs
-        diags_cache = BudgetedLru(
-            owner=self.tenant,
-            budget=self.prepared_budget,
-            cost_of=lambda key, value, rows=float(bs_ * giants_): rows,
-        )
-        self._caches["diags_bsgs"] = diags_cache
-        rc_bsgs_cache = BudgetedLru(
-            owner=self.tenant,
-            budget=self.prepared_budget,
-            cost_of=lambda key, value: 2.0,
-        )
-        self._caches["rc_bsgs"] = rc_bsgs_cache
-
-        def _prepared_diags_bsgs(
-            nonce: int, counters: Tuple[int, ...], layer: int, side: str
-        ):
-            def build():
-                bs, giants = self._bsgs
-                n_blocks = len(counters)
-                mats = np.stack(
-                    [np.asarray(self.engine.matrix(nonce, c, layer, side)) for c in counters]
-                )  # (n_blocks, t, t)
-                rows = np.zeros((giants * bs, half), dtype=mats.dtype)
-                j = np.arange(t)
-                for d in range(min(giants * bs, t)):
-                    ld = np.zeros((t, B), dtype=mats.dtype)
-                    ld[:, :n_blocks] = mats[:, j, (j + d) % t].T  # ld[j, b] = M_b[j, j+d]
-                    rows[d] = np.roll(ld.reshape(half), (d // bs) * bs * B)
-                encoded = self._encode_logical_rows(rows)
-                return self.scheme.prepare_matrix(
-                    encoded.reshape(giants, bs, self.scheme.params.n)
-                )
-
-            return diags_cache.get_or_create((nonce, counters, layer, side), build)
-
-        def _prepared_rc_bsgs(nonce: int, counters: Tuple[int, ...], layer: int):
-            def build():
-                materials = self.engine.materials(nonce, list(counters))
-                n_blocks = len(counters)
-                vals = {
-                    side: np.stack(
-                        [np.asarray(getattr(m.layers[layer], f"rc_{side}")) for m in materials],
-                        axis=-1,
-                    )
-                    for side in ("l", "r")
-                }  # (t, n_blocks) each
-                rows = np.zeros((2, half), dtype=vals["l"].dtype)
-                for s_idx, side in enumerate(("l", "r")):
-                    ld = np.zeros((t, B), dtype=vals[side].dtype)
-                    ld[:, :n_blocks] = vals[side]
-                    rows[s_idx] = ld.reshape(half)
-                return self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
-
-            return rc_bsgs_cache.get_or_create((nonce, counters, layer), build)
-
-        self._prepared_diags_bsgs = _prepared_diags_bsgs
-        self._prepared_rc_bsgs = _prepared_rc_bsgs
-
-    # -- slot-wise circuit pieces -------------------------------------------------
-
-    def _mul_const_vector(self, ct: Ciphertext, constants: Sequence[int]) -> Ciphertext:
-        self._ops.plain_muls += 1
-        return self.scheme.mul_plain_poly(ct, self.encoder.encode(list(constants)))
-
-    def _add_const_vector(self, ct: Ciphertext, constants: Sequence[int]) -> Ciphertext:
-        self._ops.plain_adds += 1
-        return self.scheme.add_plain_poly(ct, self.encoder.encode(list(constants)))
-
-    def _add(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._ops.adds += 1
-        return self.scheme.add(a, b)
-
-    def _square(self, ct: Ciphertext) -> Ciphertext:
-        self._ops.squares += 1
-        self._ops.relins += 1
-        return self.scheme.square(ct, self.rlk)
-
-    def _mul(self, a: Ciphertext, b: Ciphertext) -> Ciphertext:
-        self._ops.muls += 1
-        self._ops.relins += 1
-        return self.scheme.multiply(a, b, self.rlk)
-
-    def _affine_span(self, engine: str, layer: int, side: str, n_blocks: int):
-        """Span for one affine layer side, nested under ``hhe.transcipher``.
-
-        Carries the MatMul stage's modeled cycles (``6 + t + log2 t`` per
-        block): :func:`repro.obs.cycles.attribute` then reports the kernel's
-        measured share of the evaluation against the stage's modeled share
-        of the block budget.
-        """
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_matmul_attributes
-
-        return get_tracer().span(
-            "hhe.affine",
-            metric="hhe.affine.seconds",
-            engine=engine,
-            layer=layer,
-            side=side,
-            **modeled_matmul_attributes(self.params, n_blocks),
-        )
-
-    def _affine(self, state, nonce: int, counters: Tuple[int, ...], layer: int, side: str):
-        """Slot-wise affine over the public schedule, via prepared handles."""
-        t = len(state)
-        with self._affine_span("scalar", layer, side, len(counters)):
-            out = []
-            for j in range(t):
-                acc = None
-                for k in range(t):
-                    handle = self._prepared_matrix(nonce, counters, layer, side, j, k)
-                    self._ops.plain_muls += 1
-                    term = self.scheme.mul_plain_poly(state[k], handle)
-                    acc = term if acc is None else self._add(acc, term)
-                self._ops.plain_adds += 1
-                rc = self._prepared_rc(nonce, counters, layer, side, j)
-                out.append(self.scheme.add_plain_poly(acc, rc))
-            return out
-
-    def _mix(self, xl, xr):
-        s = [self._add(a, b) for a, b in zip(xl, xr)]
-        return [self._add(a, m) for a, m in zip(xl, s)], [self._add(b, m) for b, m in zip(xr, s)]
-
-    def _feistel(self, state):
-        out = [state[0]]
-        for j in range(1, len(state)):
-            out.append(self._add(state[j], self._square(state[j - 1])))
-        return out
-
-    def _cube(self, state):
-        return [self._mul(self._square(x), x) for x in state]
-
-    # -- tensor-path circuit pieces (same circuit, fused kernels) ------------------
-
-    def _tensor_affine(
-        self, state: CiphertextTensor, nonce: int, counters: Tuple[int, ...], layer: int, side: str
-    ) -> CiphertextTensor:
-        """Fused affine layer side: one einsum per residue prime + rc add."""
-        t = self.params.t
-        matrix = self._prepared_matrix_tensor(nonce, counters, layer, side)
-        rc = self._prepared_rc_tensor(nonce, counters, layer, side)
-        self._ops.plain_muls += t * t
-        self._ops.adds += t * (t - 1)
-        self._ops.plain_adds += t
-        with self._affine_span("tensor", layer, side, len(counters)):
-            return self.scheme.tensor_affine(state, matrix, rc)
-
-    def _tensor_mix(self, xl: CiphertextTensor, xr: CiphertextTensor):
-        self._ops.adds += 3 * self.params.t
-        s = self.scheme.tensor_add(xl, xr)
-        return self.scheme.tensor_add(xl, s), self.scheme.tensor_add(xr, s)
-
-    def _tensor_feistel(self, full: CiphertextTensor) -> CiphertextTensor:
-        n = full.slots
-        self._ops.squares += n - 1
-        self._ops.relins += n - 1
-        self._ops.adds += n - 1
-        squared = self.scheme.tensor_square(full[:-1], self.rlk)
-        return CiphertextTensor.concat(
-            [full[:1], self.scheme.tensor_add(full[1:], squared)]
-        )
-
-    def _tensor_cube(self, full: CiphertextTensor) -> CiphertextTensor:
-        n = full.slots
-        self._ops.squares += n
-        self._ops.muls += n
-        self._ops.relins += 2 * n
-        return self.scheme.tensor_mul(self.scheme.tensor_square(full, self.rlk), full, self.rlk)
-
-    # -- packed BSGS circuit pieces ------------------------------------------------
-
-    def _rotate_stack(self, state: CiphertextTensor, steps: int) -> CiphertextTensor:
-        """Rotate every stacked ciphertext left by ``steps`` (keyswitch each)."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_rotation_attributes
-
-        self._ops.rotations += state.slots
-        with get_tracer().span(
-            "hhe.rotate",
-            metric="hhe.rotate.seconds",
-            engine="bsgs",
-            steps=steps,
-            **modeled_rotation_attributes(self.params, state.slots),
-        ):
-            return self.scheme.tensor_rotate(state, steps, self.galois_keys)
-
-    def _hoisted_decompose(self, state: CiphertextTensor):
-        """Digit-decompose the c1 halves once for a batch of rotations."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_decompose_attributes
-
-        self._ops.decompositions += state.slots
-        with get_tracer().span(
-            "hhe.hoist_decompose",
-            metric="hhe.hoist_decompose.seconds",
-            engine="bsgs_hoisted",
-            **modeled_decompose_attributes(self.params, state.slots),
-        ):
-            return self.scheme.hoisted_decompose(state)
-
-    def _rotate_hoisted(
-        self, state: CiphertextTensor, digits: np.ndarray, steps: int
-    ) -> CiphertextTensor:
-        """Rotate via a shared digit stack (apply half of a hoisted rotation)."""
-        from repro.obs import get_tracer
-        from repro.obs.cycles import modeled_hoisted_apply_attributes
-
-        self._ops.rotations += state.slots
-        with get_tracer().span(
-            "hhe.rotate",
-            metric="hhe.rotate.seconds",
-            engine="bsgs_hoisted",
-            steps=steps,
-            **modeled_hoisted_apply_attributes(self.params, state.slots),
-        ):
-            return self.scheme.tensor_rotate_hoisted(
-                state, digits, steps, self.galois_keys
-            )
-
-    def _bsgs_affine_pair(
-        self, state: CiphertextTensor, nonce: int, counters: Tuple[int, ...], layer: int
-    ) -> CiphertextTensor:
-        """Both affine layer sides on the packed [L, R] pair, BSGS-style.
-
-        With the state-major packing the blocked t*B x t*B matrix has t
-        generalized diagonals, all at multiples of the group size B:
-
-            out = sum_d diag(d*B) . rot(d*B, v)
-
-        Split d = g*bs + i and hoist the giant rotations out of the sum
-        (Horner over g), pre-rotating the diagonals by ``g*bs*B`` right at
-        preparation time:
-
-            out = sum_g rot(g*bs*B, sum_i prep_diag[g, i] . baby_i)
-
-        The bs babies share ONE digit decomposition of the source pair
-        (Halevi-Shoup hoisting; each baby rotates the original state by
-        ``i*B`` through the shared digit stack), the inner sums are ONE
-        prepared-matrix einsum per side, and each Horner step is one
-        regular rotation of the fresh [L, R] accumulator pair. Total per
-        side: bs*G (= t) plain muls, bs*G - 1 adds, (bs-1)+(G-1)
-        rotations, plus one decomposition when hoisted and bs > 1. With
-        ``hoisted=False`` the babies fall back to the rotation chain.
-        """
-        bs, giants = self._bsgs
-        B = self._group_size
-        eng = self.scheme.engine
-        prep = {
-            side: self._take_prepared_diags(nonce, counters, layer, side)
-            for side in ("l", "r")
-        }
-        rc = self._prepared_rc_bsgs(nonce, counters, layer)
-        self._ops.plain_muls += 2 * bs * giants
-        self._ops.adds += 2 * (giants * bs - 1)
-        self._ops.plain_adds += 2
-        use_hoisted = self.hoisted and bs > 1
-        with self._affine_span("bsgs", layer, "lr", 2 * len(counters)):
-            babies = [state]
-            if use_hoisted:
-                digits = self._hoisted_decompose(state)
-                for i in range(1, bs):
-                    babies.append(self._rotate_hoisted(state, digits, i * B))
-            else:
-                for _ in range(bs - 1):
-                    babies.append(self._rotate_stack(babies[-1], B))
-            giant_sums = [
-                eng.ctx.matmul_mod(
-                    prep[side], np.stack([b.data[s_idx] for b in babies])
-                )  # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
-                for s_idx, side in enumerate(("l", "r"))
-            ]
-            acc = CiphertextTensor(
-                eng.ctx, np.stack([giant_sums[0][giants - 1], giant_sums[1][giants - 1]])
-            )
-            for g in range(giants - 2, -1, -1):
-                rotated = self._rotate_stack(acc, bs * B)
-                pair = CiphertextTensor(
-                    eng.ctx, np.stack([giant_sums[0][g], giant_sums[1][g]])
-                )
-                acc = self.scheme.tensor_add(pair, rotated)
-            out = self.scheme.tensor_add_plain_rows(acc, rc)
-            # The raw matmul_mod contractions above bypass the Bfv wrappers,
-            # so the ledger gets the layer's closed-form bound in one step.
-            out.noise = self.scheme.noise_model.bsgs_affine(
-                state.noise, bs, giants, round_constant=True, hoisted=use_hoisted
-            )
-            return out
-
-    def _take_prepared_diags(self, nonce, counters, layer, side):
-        return self.scheme._take_prepared_tensor(
-            self._prepared_diags_bsgs(nonce, counters, layer, side), "matmul"
-        )
-
-    def _packed_mix(self, state: CiphertextTensor) -> CiphertextTensor:
-        self._ops.adds += 3
-        s = self.scheme.tensor_add(state[0], state[1])
-        return CiphertextTensor.concat(
-            [self.scheme.tensor_add(state[0], s), self.scheme.tensor_add(state[1], s)]
-        )
-
-    def _packed_feistel(self, state: CiphertextTensor) -> CiphertextTensor:
-        """Feistel over the packed 2t-element state [L, R].
-
-        ``out[j] = x[j] + x[j-1]^2`` becomes: square both packed sides,
-        rotate the squares one state group RIGHT, then mask — groups 1..t-1
-        add their left neighbor's square in place, and R's group 0 picks up
-        L's last group through the cross mask.
-        """
-        half = self.scheme.params.n // 2
-        B = self._group_size
-        self._ops.squares += 2
-        self._ops.relins += 2
-        self._ops.plain_muls += 3
-        self._ops.adds += 3
-        sq = self.scheme.tensor_square(state, self.rlk)
-        sq_rot = self._rotate_stack(sq, half - B)  # right by one group
-        masked = self.scheme.tensor_mul_plain_rows(sq_rot, self._mask_not_first)
-        out = self.scheme.tensor_add(state, masked)
-        cross = self.scheme.tensor_mul_plain_rows(sq_rot[0], self._mask_first)
-        return CiphertextTensor.concat(
-            [out[0], self.scheme.tensor_add(out[1], cross)]
-        )
-
-    def _packed_cube(self, state: CiphertextTensor) -> CiphertextTensor:
-        self._ops.squares += 2
-        self._ops.muls += 2
-        self._ops.relins += 4
-        return self.scheme.tensor_mul(
-            self.scheme.tensor_square(state, self.rlk), state, self.rlk
-        )
-
     # -- public API -----------------------------------------------------------------
 
     def transcipher_blocks(
@@ -716,7 +321,7 @@ class BatchedHheServer:
             blocks=len(counters),
             **modeled_cycle_attributes(params, len(counters)),
         ) as span:
-            result = self._transcipher_blocks(ciphertext_blocks, nonce, counters)
+            result = self._evaluate(ciphertext_blocks, nonce, counters)
             # Ledger exit point: the worst modeled bound across the result
             # ciphertexts becomes the span's noise attributes and the
             # fhe.noise.headroom_bits gauge — no secret key involved.
@@ -731,14 +336,11 @@ class BatchedHheServer:
                 )
             return result
 
-    def _transcipher_blocks(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        counters: Sequence[int],
+    def _evaluate(
+        self, ciphertext_blocks: Sequence[Sequence[int]], nonce: int, counters: Sequence[int]
     ) -> BatchedTranscipherResult:
-        params = self.params
-        t = params.t
+        """Pick this call's layout and run the round program on it."""
+        t = self.params.t
         if len(ciphertext_blocks) != len(counters):
             raise ParameterError("one counter per block required")
         if len(counters) > self.encoder.n:
@@ -753,134 +355,349 @@ class BatchedHheServer:
         block_counters = tuple(int(c) for c in counters)
         self.engine.materials(nonce, list(block_counters))
 
-        self._ops = BfvOpCounts()
-
         group_size = None
         if self.eval_engine == "bsgs" and len(block_counters) <= self._group_size:
-            out = self._evaluate_bsgs(ciphertext_blocks, nonce, block_counters)
+            layout: CircuitLayout = _PackedLayout(self, nonce, block_counters)
+            state = self._packed_key
             group_size = self._group_size
         elif self.eval_engine in ("tensor", "bsgs"):
             # A batch beyond the packed capacity falls back to the slot
             # layout (capacity n instead of n / 2t) for this call only.
-            out = self._evaluate_tensor(ciphertext_blocks, nonce, block_counters)
+            layout = _TensorLayout(self, nonce, block_counters)
+            key = self.scheme.stack_ciphertexts(self.encrypted_key)
+            state = (key[:t], key[t:])
         else:
-            out = self._evaluate_scalar(ciphertext_blocks, nonce, block_counters)
-        return BatchedTranscipherResult(
-            ciphertexts=out,
-            counters=[int(c) for c in counters],
-            ops=self._ops,
-            group_size=group_size,
+            layout = ListLayout(
+                SlotBackend(self.scheme, self.rlk),
+                _SlotConstants(self, nonce, block_counters),
+                t,
+                span_engine="scalar",
+                blocks=len(block_counters),
+            )
+            state = (self.encrypted_key[:t], self.encrypted_key[t:])
+        out, ops = run_program(self.params, layout, state, ciphertext_blocks)
+        return BatchedTranscipherResult(out, list(block_counters), ops, group_size)
+
+
+class _SlotConstants:
+    """The list layout's public constants as per-slot plaintexts: prepared
+    handles from the server's caches, block ``b`` in slot ``b``."""
+
+    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+        self.server = server
+        self.nonce = nonce
+        self.counters = counters
+
+    def affine(self, layer: int, side: str):
+        s, nonce, counters = self.server, self.nonce, self.counters
+
+        def entry(j: int, k: int):
+            def build():
+                per_slot = [int(s.engine.matrix(nonce, c, layer, side)[j, k]) for c in counters]
+                return s.scheme.prepare_mul_plain(s.encoder.encode(per_slot))
+
+            return s._caches["matrix"].get_or_create((nonce, counters, layer, side, j, k), build)
+
+        def rc(j: int):
+            def build():
+                per_slot = [
+                    int(getattr(s.engine.materials(nonce, [c])[0].layers[layer], f"rc_{side}")[j])
+                    for c in counters
+                ]
+                return s.scheme.prepare_add_plain(s.encoder.encode(per_slot))
+
+            return s._caches["rc"].get_or_create((nonce, counters, layer, side, j), build)
+
+        return entry, rc
+
+    def plain(self, column: Sequence[int]):
+        return self.server.encoder.encode([int(c) for c in column])
+
+
+class _ServerLayout(CircuitLayout):
+    """A layout over one server's keys and caches, for one call's schedule."""
+
+    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+        self.server = server
+        self.scheme = server.scheme
+        self.params = server.params
+        self.t = server.params.t
+        self.nonce = nonce
+        self.counters = counters
+        self.blocks = len(counters)
+
+    def _minus(self, keystream: CiphertextTensor, encoded_rows: np.ndarray) -> List[Ciphertext]:
+        """``c - KS``: one batched negate plus one prepared broadcast row add."""
+        negated = self.scheme.tensor_neg(keystream)
+        prepared = self.scheme.prepare_add_rows(encoded_rows)
+        return self.scheme.unstack_ciphertexts(
+            self.scheme.tensor_add_plain_rows(negated, prepared)
         )
 
-    def _evaluate_scalar(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        params = self.params
-        t = params.t
-        xl = list(self.encrypted_key[:t])
-        xr = list(self.encrypted_key[t:])
-        for i in range(params.rounds):
-            xl = self._affine(xl, nonce, block_counters, i, "l")
-            xr = self._affine(xr, nonce, block_counters, i, "r")
-            xl, xr = self._mix(xl, xr)
-            full = xl + xr
-            full = self._feistel(full) if i < params.rounds - 1 else self._cube(full)
-            xl, xr = full[:t], full[t:]
-        last = params.rounds
-        xl = self._affine(xl, nonce, block_counters, last, "l")
-        xr = self._affine(xr, nonce, block_counters, last, "r")
-        xl, _ = self._mix(xl, xr)
 
-        # m = c - KS, slot-wise: negate the keystream, add the per-block c_j.
-        out: List[Ciphertext] = []
-        for j in range(t):
-            negated = self.scheme.neg(xl[j])
-            per_slot_c = [int(block[j]) for block in ciphertext_blocks]
-            out.append(self._add_const_vector(negated, per_slot_c))
+class _TensorLayout(_ServerLayout):
+    """Each state side is one (t, 2, L, N) eval-domain residue tensor.
+
+    An affine side is one prepared-matrix einsum per residue prime plus a
+    broadcast round-constant add; the S-boxes run batched square/multiply
+    kernels over the concatenated 2t state. The kernels are the
+    amortization, not an op-count change: the cost table is the list
+    layout's, and the residues are bit-identical to it.
+    """
+
+    span_engine = "tensor"
+
+    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+        super().__init__(server, nonce, counters)
+        self.costs = slot_costs(self.t)
+
+    def prepare_affine(self, layer: int, side: str):
+        s, nonce, counters, t = self.server, self.nonce, self.counters, self.t
+        key = (nonce, counters, layer, side)
+
+        def matrix():
+            # All t^2 entries in ONE batched slot encode (slot b carries
+            # block b's entry) and ONE batched residue NTT.
+            mats = np.stack(
+                [np.asarray(s.engine.matrix(nonce, c, layer, side)) for c in counters], axis=-1
+            )  # (t, t, B)
+            encoded = s.encoder.encode_rows(mats.reshape(t * t, len(counters)))
+            return self.scheme.prepare_matrix(encoded.reshape(t, t, s.encoder.n))
+
+        def rc():
+            rows = np.stack(
+                [
+                    np.asarray(getattr(m.layers[layer], f"rc_{side}"))
+                    for m in s.engine.materials(nonce, list(counters))
+                ],
+                axis=-1,
+            )  # (t, B)
+            return self.scheme.prepare_add_rows(s.encoder.encode_rows(rows))
+
+        return (
+            side,
+            s._caches["matrix_tensor"].get_or_create(key, matrix),
+            s._caches["rc_tensor"].get_or_create(key, rc),
+        )
+
+    def affine(self, state, prepared):
+        side, matrix, rc = prepared
+        xl, xr = state
+        if side == "l":
+            return self.scheme.tensor_affine(xl, matrix, rc), xr
+        return xl, self.scheme.tensor_affine(xr, matrix, rc)
+
+    def mix(self, state):
+        xl, xr = state
+        s = self.scheme.tensor_add(xl, xr)
+        return self.scheme.tensor_add(xl, s), self.scheme.tensor_add(xr, s)
+
+    def _split(self, full: CiphertextTensor):
+        return full[: self.t], full[self.t :]
+
+    def feistel(self, state):
+        full = CiphertextTensor.concat(list(state))
+        squared = self.scheme.tensor_square(full[:-1], self.server.rlk)
+        return self._split(
+            CiphertextTensor.concat([full[:1], self.scheme.tensor_add(full[1:], squared)])
+        )
+
+    def cube(self, state):
+        full = CiphertextTensor.concat(list(state))
+        rlk = self.server.rlk
+        return self._split(
+            self.scheme.tensor_mul(self.scheme.tensor_square(full, rlk), full, rlk)
+        )
+
+    def sub(self, state, ciphertext):
+        rows = np.asarray([[int(c) for c in block] for block in ciphertext]).T  # (t, B)
+        return self._minus(state[0], self.server.encoder.encode_rows(rows))
+
+
+class _PackedLayout(_ServerLayout):
+    """ONE [L, R] ciphertext pair carries the whole state of every block.
+
+    State element j of block b sits at logical slot ``j * group + b``, so
+    each affine step runs both sides by the baby-step/giant-step diagonal
+    method and the S-boxes act slot-wise on the pair; the result is a
+    single ciphertext (``group_size`` on the result describes the layout).
+    """
+
+    sides = PACKED_SIDES
+    span_engine = "bsgs"
+
+    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+        super().__init__(server, nonce, counters)
+        self.hoisted = server.hoisted
+        self.costs = packed_costs(self.t, self.hoisted)
+
+    # -- rotations -------------------------------------------------------------
+
+    def _span(self, name: str, engine: str, modeled: dict, **attrs):
+        from repro.obs import get_tracer
+
+        return get_tracer().span(
+            name, metric=f"{name}.seconds", engine=engine, **attrs, **modeled
+        )
+
+    def _rotate(
+        self, state: CiphertextTensor, steps: int, digits: Optional[np.ndarray] = None
+    ) -> CiphertextTensor:
+        """Rotate both stacked ciphertexts left by ``steps``: a full keyswitch
+        each, or only the apply half through ``state``'s hoisted ``digits``."""
+        from repro.obs.cycles import modeled_hoisted_apply_attributes, modeled_rotation_attributes
+
+        gk = self.server.galois_keys
+        if digits is None:
+            modeled = modeled_rotation_attributes(self.params, state.slots)
+            with self._span("hhe.rotate", "bsgs", modeled, steps=steps):
+                return self.scheme.tensor_rotate(state, steps, gk)
+        modeled = modeled_hoisted_apply_attributes(self.params, state.slots)
+        with self._span("hhe.rotate", "bsgs_hoisted", modeled, steps=steps):
+            return self.scheme.tensor_rotate_hoisted(state, digits, steps, gk)
+
+    def _hoisted_decompose(self, state: CiphertextTensor) -> np.ndarray:
+        """Digit-decompose the c1 halves once for a batch of rotations."""
+        from repro.obs.cycles import modeled_decompose_attributes
+
+        modeled = modeled_decompose_attributes(self.params, state.slots)
+        with self._span("hhe.hoist_decompose", "bsgs_hoisted", modeled):
+            return self.scheme.hoisted_decompose(state)
+
+    # -- program steps ---------------------------------------------------------
+
+    def prepare_affine(self, layer: int, side: str):
+        s, nonce, counters, t = self.server, self.nonce, self.counters, self.t
+        B = s._group_size
+        half = t * B
+        bs, giants = s._bsgs
+        n_blocks = len(counters)
+
+        def diagonals(half_side: str):
+            # The G*bs generalized diagonals of the blocked affine matrix,
+            # pre-rotated for the giant-step Horner form, as ONE
+            # (G, bs, L, N) prepared matmul tensor.
+            def build():
+                mats = np.stack(
+                    [np.asarray(s.engine.matrix(nonce, c, layer, half_side)) for c in counters]
+                )  # (n_blocks, t, t)
+                rows = np.zeros((giants * bs, half), dtype=mats.dtype)
+                j = np.arange(t)
+                for d in range(min(giants * bs, t)):
+                    ld = np.zeros((t, B), dtype=mats.dtype)
+                    ld[:, :n_blocks] = mats[:, j, (j + d) % t].T  # ld[j, b] = M_b[j, j+d]
+                    rows[d] = np.roll(ld.reshape(half), (d // bs) * bs * B)
+                encoded = s._encode_logical_rows(rows)
+                return self.scheme.prepare_matrix(
+                    encoded.reshape(giants, bs, self.scheme.params.n)
+                )
+
+            prepared = s._caches["diags_bsgs"].get_or_create(
+                (nonce, counters, layer, half_side), build
+            )
+            return self.scheme._take_prepared_tensor(prepared, "matmul")
+
+        def rc():
+            materials = s.engine.materials(nonce, list(counters))
+            vals = np.asarray(
+                [[getattr(m.layers[layer], f"rc_{h}") for m in materials] for h in ("l", "r")]
+            ).transpose(0, 2, 1)  # (2, t, n_blocks)
+            rows = np.zeros((2, t, B), dtype=vals.dtype)
+            rows[:, :, :n_blocks] = vals
+            return self.scheme.prepare_add_rows(s._encode_logical_rows(rows.reshape(2, half)))
+
+        diags = [diagonals("l"), diagonals("r")]
+        return diags, s._caches["rc_bsgs"].get_or_create((nonce, counters, layer), rc)
+
+    def affine(self, state: CiphertextTensor, prepared) -> CiphertextTensor:
+        """Both affine layer sides on the packed [L, R] pair, BSGS-style.
+
+        With the state-major packing the blocked t*B x t*B matrix has t
+        generalized diagonals, all at multiples of the group size B:
+
+            out = sum_d diag(d*B) . rot(d*B, v)
+
+        Split d = g*bs + i and hoist the giant rotations out of the sum
+        (Horner over g), pre-rotating the diagonals by ``g*bs*B`` right at
+        preparation time:
+
+            out = sum_g rot(g*bs*B, sum_i prep_diag[g, i] . baby_i)
+
+        The bs babies share ONE digit decomposition of the source pair
+        (Halevi-Shoup hoisting; each baby rotates the original state by
+        ``i*B`` through the shared digit stack), the inner sums are ONE
+        prepared-matrix einsum per side, and each Horner step is one
+        regular rotation of the fresh [L, R] accumulator pair. A server
+        whose ``hoisted`` is False chains the babies one keyswitch at a
+        time instead (the reference kernel).
+        """
+        diags, rc = prepared
+        bs, giants = self.server._bsgs
+        B = self.server._group_size
+        eng = self.scheme.engine
+        use_hoisted = self.hoisted and bs > 1
+        babies = [state]
+        if use_hoisted:
+            digits = self._hoisted_decompose(state)
+            for i in range(1, bs):
+                babies.append(self._rotate(state, i * B, digits))
+        else:
+            for _ in range(bs - 1):
+                babies.append(self._rotate(babies[-1], B))
+        giant_sums = [
+            eng.ctx.matmul_mod(
+                diags[s_idx], np.stack([b.data[s_idx] for b in babies])
+            )  # (G, bs, L, N) x (bs, 2, L, N) -> (G, 2, L, N)
+            for s_idx in range(2)
+        ]
+        acc = CiphertextTensor(
+            eng.ctx, np.stack([giant_sums[0][giants - 1], giant_sums[1][giants - 1]])
+        )
+        for g in range(giants - 2, -1, -1):
+            rotated = self._rotate(acc, bs * B)
+            pair = CiphertextTensor(eng.ctx, np.stack([giant_sums[0][g], giant_sums[1][g]]))
+            acc = self.scheme.tensor_add(pair, rotated)
+        out = self.scheme.tensor_add_plain_rows(acc, rc)
+        # The raw matmul_mod contractions above bypass the Bfv wrappers,
+        # so the ledger gets the layer's closed-form bound in one step.
+        out.noise = self.scheme.noise_model.bsgs_affine(
+            state.noise, bs, giants, round_constant=True, hoisted=use_hoisted
+        )
         return out
 
-    def _evaluate_tensor(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        """Same circuit on one (2t, 2, L, N) eval-domain residue tensor.
-
-        Op counters are incremented with the per-slot totals of each fused
-        kernel, so ``ops`` is identical to the scalar path's — the kernels
-        are the amortization, not an op-count change.
-        """
-        params = self.params
-        t = params.t
-        state = self.scheme.stack_ciphertexts(self.encrypted_key)
-        xl, xr = state[:t], state[t:]
-        for i in range(params.rounds):
-            xl = self._tensor_affine(xl, nonce, block_counters, i, "l")
-            xr = self._tensor_affine(xr, nonce, block_counters, i, "r")
-            xl, xr = self._tensor_mix(xl, xr)
-            full = CiphertextTensor.concat([xl, xr])
-            full = self._tensor_feistel(full) if i < params.rounds - 1 else self._tensor_cube(full)
-            xl, xr = full[:t], full[t:]
-        last = params.rounds
-        xl = self._tensor_affine(xl, nonce, block_counters, last, "l")
-        xr = self._tensor_affine(xr, nonce, block_counters, last, "r")
-        xl, _ = self._tensor_mix(xl, xr)
-
-        # m = c - KS: one batched negate + one prepared broadcast row add.
-        negated = self.scheme.tensor_neg(xl)
-        rows = np.asarray(
-            [[int(c) for c in block] for block in ciphertext_blocks]
-        ).T  # (t, B)
-        self._ops.plain_adds += t
-        prepared = self.scheme.prepare_add_rows(self.encoder.encode_rows(rows))
-        return self.scheme.unstack_ciphertexts(
-            self.scheme.tensor_add_plain_rows(negated, prepared)
+    def mix(self, state: CiphertextTensor) -> CiphertextTensor:
+        s = self.scheme.tensor_add(state[0], state[1])
+        return CiphertextTensor.concat(
+            [self.scheme.tensor_add(state[0], s), self.scheme.tensor_add(state[1], s)]
         )
 
-    def _evaluate_bsgs(
-        self,
-        ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
-        block_counters: Tuple[int, ...],
-    ) -> List[Ciphertext]:
-        """The packed circuit: ONE [L, R] ciphertext pair end to end.
+    def feistel(self, state: CiphertextTensor) -> CiphertextTensor:
+        """Feistel over the packed 2t-element state [L, R].
 
-        Same PASTA permutation, BSGS affine layers; the result is a single
-        ciphertext whose slot groups hold the t message elements of every
-        block (``group_size`` on the result describes the layout).
+        ``out[j] = x[j] + x[j-1]^2`` becomes: square both packed sides,
+        rotate the squares one state group RIGHT, then mask — groups 1..t-1
+        add their left neighbor's square in place, and R's group 0 picks up
+        L's last group through the cross mask.
         """
-        params = self.params
-        t = params.t
-        B = self._group_size
+        s = self.server
         half = self.scheme.params.n // 2
-        state = self._packed_key
-        for i in range(params.rounds):
-            state = self._bsgs_affine_pair(state, nonce, block_counters, i)
-            state = self._packed_mix(state)
-            state = (
-                self._packed_feistel(state)
-                if i < params.rounds - 1
-                else self._packed_cube(state)
-            )
-        state = self._bsgs_affine_pair(state, nonce, block_counters, params.rounds)
-        state = self._packed_mix(state)
+        sq = self.scheme.tensor_square(state, s.rlk)
+        sq_rot = self._rotate(sq, half - s._group_size)  # right by one group
+        masked = self.scheme.tensor_mul_plain_rows(sq_rot, s._mask_not_first)
+        out = self.scheme.tensor_add(state, masked)
+        cross = self.scheme.tensor_mul_plain_rows(sq_rot[0], s._mask_first)
+        return CiphertextTensor.concat([out[0], self.scheme.tensor_add(out[1], cross)])
 
-        # m = c - KS on the left side: one negate + one packed plain add.
-        negated = self.scheme.tensor_neg(state[0])
-        rows = np.zeros((1, half), dtype=np.int64)
-        grouped = rows.reshape(t, B)
-        for b, block in enumerate(ciphertext_blocks):
-            for j, c in enumerate(block):
-                grouped[j, b] = int(c) % params.p
-        self._ops.plain_adds += 1
-        prepared = self.scheme.prepare_add_rows(self._encode_logical_rows(rows))
-        return self.scheme.unstack_ciphertexts(
-            self.scheme.tensor_add_plain_rows(negated, prepared)
-        )
+    def cube(self, state: CiphertextTensor) -> CiphertextTensor:
+        rlk = self.server.rlk
+        return self.scheme.tensor_mul(self.scheme.tensor_square(state, rlk), state, rlk)
+
+    def sub(self, state, ciphertext):
+        grouped = np.zeros((self.t, self.server._group_size), dtype=np.int64)
+        for b, block in enumerate(ciphertext):
+            grouped[:, b] = [int(c) for c in block]
+        rows = self.server._encode_logical_rows(grouped.reshape(1, -1))
+        return self._minus(state[0], rows)  # the left side carries KS
 
 
 def decrypt_batched_result(

@@ -112,9 +112,10 @@ class HheServer:
     ) -> TranscipherResult:
         """Homomorphic HHE decryption of one symmetric block."""
         circuit = KeystreamCircuit.for_block(self.pasta_params, nonce, counter)
-        backend = BfvBackend(self.scheme, self.rlk)
-        cts = circuit.decrypt(self.encrypted_key, list(ciphertext_block), backend)
-        return TranscipherResult(ciphertexts=cts, ops=backend.counts)
+        cts, ops = circuit.run(
+            self.encrypted_key, BfvBackend(self.scheme, self.rlk), list(ciphertext_block)
+        )
+        return TranscipherResult(ciphertexts=cts, ops=ops)
 
     def transcipher(self, ciphertext: Sequence[int], nonce: int) -> TranscipherResult:
         """Transcipher a multi-block stream (counter = block index)."""

@@ -1,16 +1,22 @@
-"""PASTA decryption as an explicit arithmetic circuit (for the HHE server).
+"""PASTA decryption as one round program (for the HHE server).
 
 The server holds the FHE-encrypted key and the *public* per-block material
 (nonce, counter -> matrices and round constants). "Homomorphic HHE
 decryption" (paper Fig. 1) evaluates the PASTA permutation over encrypted
 state elements and subtracts the result from the symmetric ciphertext.
 
-The circuit is expressed against an abstract :class:`ArithmeticBackend`, so
-the same code path drives
-
-* :class:`PlainBackend` — plain integers (used to cross-check the circuit
-  against the reference cipher), and
-* ``repro.hhe.BfvBackend`` — BFV ciphertexts (the actual HHE server).
+That circuit is written down once, as :func:`decrypt_program` — per round
+affine (each side) -> mix -> Feistel, or cube on the last round; then the
+final affine -> mix; then ``c - KS`` — and :func:`run_program` is the one
+loop that walks it. Each state layout (:class:`CircuitLayout`) supplies
+only kernels for the steps and a per-step op-cost table; the driver calls
+the kernel, opens the step's span and adds the step's cost into counts
+owned by that call. :func:`homomorphic_op_counts` walks the same program
+over the same tables. :class:`ListLayout` (t backend values per side)
+serves :class:`KeystreamCircuit` over :class:`PlainBackend` or
+``repro.hhe.BfvBackend`` and the batched scalar engine over slot
+plaintexts; the tensor and packed BSGS layouts live in
+:mod:`repro.hhe.batched`.
 
 Cost model: one affine layer costs t^2 plaintext multiplications; the
 Feistel S-box costs one ciphertext-ciphertext square per element; the cube
@@ -20,8 +26,11 @@ adds one level, the cube adds two).
 
 from __future__ import annotations
 
+import contextlib
+import dataclasses
 from dataclasses import dataclass
-from typing import Generic, List, Sequence, TypeVar
+from functools import lru_cache
+from typing import Any, Dict, Generic, List, NamedTuple, Optional, Sequence, Tuple, TypeVar
 
 from repro.errors import ParameterError
 from repro.ff.prime import PrimeField
@@ -79,8 +88,38 @@ class PlainBackend(ArithmeticBackend[int]):
 
 
 @dataclass
+class BfvOpCounts:
+    """Homomorphic-operation counters (for the HHE cost benchmark)."""
+
+    adds: int = 0
+    plain_adds: int = 0
+    plain_muls: int = 0
+    squares: int = 0
+    muls: int = 0
+    relins: int = 0
+    rotations: int = 0  #: Galois automorphism + key switch (BSGS engine only)
+    decompositions: int = 0  #: Hoisted digit decompositions shared by rotations
+
+    def merge(self, other: "BfvOpCounts") -> "BfvOpCounts":
+        """Field-wise in-place accumulation of ``other``; returns ``self``.
+
+        Iterates :func:`dataclasses.fields` rather than a hand-listed
+        attribute tuple, so a counter field added later (the way
+        ``rotations`` was) can never be silently dropped from multi-block
+        totals again.
+        """
+        for f in dataclasses.fields(self):
+            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        return self
+
+    def total(self) -> int:
+        """Sum of every counter field (fields-driven, like :meth:`merge`)."""
+        return sum(getattr(self, f.name) for f in dataclasses.fields(self))
+
+
+@dataclass
 class CircuitCost:
-    """Operation counters accumulated while evaluating the circuit."""
+    """A :class:`KeystreamCircuit`'s op totals under the circuit's own names."""
 
     plain_muls: int = 0
     plain_adds: int = 0
@@ -109,79 +148,253 @@ def bsgs_split(t: int) -> tuple:
     return bs, -(-t // bs)
 
 
+# -- the round program ------------------------------------------------------------
+
+#: Affine steps per layer: one per side on the t-element layouts, one for
+#: the packed [L, R] pair.
+SLOT_SIDES = ("l", "r")
+PACKED_SIDES = ("lr",)
+
+
+class Step(NamedTuple):
+    """One program step: ``op`` in affine | mix | feistel | cube | sub."""
+
+    op: str
+    layer: int
+    side: str = ""  #: the affine side(s) the step covers
+
+
+@lru_cache(maxsize=None)
+def decrypt_program(rounds: int, sides: Tuple[str, ...] = SLOT_SIDES) -> Tuple[Step, ...]:
+    """The PASTA decryption circuit ``m = c - Trunc(pi(K))`` as a step list."""
+    steps: List[Step] = []
+    for layer in range(rounds + 1):
+        steps += [Step("affine", layer, side) for side in sides]
+        steps.append(Step("mix", layer))
+        if layer < rounds:
+            steps.append(Step("feistel" if layer < rounds - 1 else "cube", layer))
+    steps.append(Step("sub", rounds))
+    return tuple(steps)
+
+
+def slot_costs(t: int, width: Optional[int] = None) -> Dict[str, BfvOpCounts]:
+    """Per-step op costs of the t-ciphertexts-per-side layouts (list,
+    tensor). The S-boxes act on the concatenated 2t state; ``c - KS`` adds
+    ``width`` ciphertext elements (t for a full block)."""
+    n = 2 * t
+    return {
+        "affine": BfvOpCounts(plain_muls=t * t, adds=t * (t - 1), plain_adds=t),
+        "mix": BfvOpCounts(adds=3 * t),
+        "feistel": BfvOpCounts(squares=n - 1, relins=n - 1, adds=n - 1),
+        "cube": BfvOpCounts(squares=n, muls=n, relins=2 * n),
+        "sub": BfvOpCounts(plain_adds=t if width is None else width),
+    }
+
+
+def packed_costs(t: int, hoisted: bool) -> Dict[str, BfvOpCounts]:
+    """Per-step op costs of the packed BSGS layout. One affine step covers
+    both sides of the [L, R] pair: per side bs*G diagonal plain muls, bs*G-1
+    adds, one rc add and (bs-1) baby + (G-1) giant rotations, plus one
+    shared digit decomposition per side when hoisted and bs > 1."""
+    bs, giants = bsgs_split(t)
+    return {
+        "affine": BfvOpCounts(
+            plain_muls=2 * bs * giants,
+            adds=2 * (bs * giants - 1),
+            plain_adds=2,
+            rotations=2 * ((bs - 1) + (giants - 1)),
+            decompositions=2 if hoisted and bs > 1 else 0,
+        ),
+        "mix": BfvOpCounts(adds=3),
+        "feistel": BfvOpCounts(squares=2, relins=2, rotations=2, plain_muls=3, adds=3),
+        "cube": BfvOpCounts(squares=2, muls=2, relins=4),
+        "sub": BfvOpCounts(plain_adds=1),
+    }
+
+
 def homomorphic_op_counts(params: PastaParams, engine: str = "slots") -> dict:
     """Closed-form BFV op counts of one homomorphic PASTA evaluation.
 
-    One batched evaluation of ``m = c - Trunc(pi(K))`` over encrypted state
-    (:class:`repro.hhe.batched.BatchedHheServer`), any batch size, for
-    either state layout:
-
-    ``engine="slots"`` — t ciphertexts per state (the scalar/tensor
-    evaluators), with ``r = rounds`` and 2(r+1) affine layer *sides* (l and
-    r for rounds 0..r):
-
-    * affine side: t^2 plain muls, t(t-1) adds, t plain rc adds
-    * mix (r+1 of them): 3t adds
-    * Feistel (r-1 of them, over the 2t concatenated state): 2t-1 each of
-      squares/relins/adds
-    * cube (1, over 2t state): 2t squares, 2t muls, 2 relins per element
-    * final ``c - KS``: t plain adds
-
-    ``engine="bsgs"`` — ONE packed ciphertext per state side (left/right),
-    t-element state across slot groups, affine layers by the
-    baby-step/giant-step diagonal method with ``(bs, G) = bsgs_split(t)``:
-
-    * affine side: bs*G (= t) diagonal plain muls, bs*G - 1 adds,
-      (bs-1) + (G-1) rotations (baby chain + Horner giant steps), 1 packed
-      rc plain add
-    * mix (r+1): 3 packed adds
-    * Feistel (r-1): 2 squares/relins, 1 rotation, 3 mask plain muls, 3 adds
-    * cube: 2 squares, 2 muls, 4 relins
-    * final ``c - KS``: 1 packed plain add
-
-    ``engine="bsgs_hoisted"`` — same circuit with Halevi-Shoup hoisting in
-    the affine baby steps: every count matches ``"bsgs"`` (the bs-1 baby
-    rotations still key-switch, just through a shared digit stack) plus one
-    ``decompositions`` per affine side when bs > 1.
-
-    The O(t^2) -> O(t) plain-mul and O(sqrt t) rotation scaling per layer
-    side is the point of ROADMAP item 3. The benchmark and the parity tests
-    assert real runs hit these exactly.
+    :func:`decrypt_program` walked over a layout's cost table, for one
+    batched evaluation (:class:`repro.hhe.batched.BatchedHheServer`) of any
+    batch size: ``engine="slots"`` for t ciphertexts per state side (the
+    scalar and tensor evaluators, :func:`slot_costs`), ``"bsgs"`` for the
+    packed layout (:func:`packed_costs`: O(t) plain muls and O(sqrt t)
+    rotations per side instead of t^2 plain muls), and ``"bsgs_hoisted"``
+    for the same plus one shared digit ``decompositions`` per affine side
+    (bs > 1) — the only formula carrying that key. Parity tests and the
+    benchmarks assert real runs hit these exactly.
     """
-    t, r = params.t, params.rounds
-    sides = 2 * (r + 1)
     if engine == "slots":
-        feistel = (r - 1) * (2 * t - 1)
-        return {
-            "plain_muls": sides * t * t,
-            "plain_adds": sides * t + t,
-            "adds": sides * t * (t - 1) + 3 * t * (r + 1) + feistel,
-            "squares": feistel + 2 * t,
-            "muls": 2 * t,
-            "relins": feistel + 2 * t + 2 * t,
-            "rotations": 0,
-        }
-    if engine not in ("bsgs", "bsgs_hoisted"):
+        costs, sides = slot_costs(params.t), SLOT_SIDES
+    elif engine in ("bsgs", "bsgs_hoisted"):
+        costs, sides = packed_costs(params.t, engine == "bsgs_hoisted"), PACKED_SIDES
+    else:
         raise ParameterError(
             f"unknown op-count engine {engine!r} ('slots', 'bsgs' or 'bsgs_hoisted')"
         )
-    bs, giants = bsgs_split(t)
-    counts = {
-        "plain_muls": sides * bs * giants + 3 * (r - 1),
-        "plain_adds": sides + 1,
-        "adds": sides * (bs * giants - 1) + 3 * (r + 1) + 3 * (r - 1),
-        "squares": 2 * (r - 1) + 2,
-        "muls": 2,
-        "relins": 2 * (r - 1) + 4,
-        "rotations": sides * ((bs - 1) + (giants - 1)) + 2 * (r - 1),
-    }
-    if engine == "bsgs_hoisted":
-        counts["decompositions"] = sides if bs > 1 else 0
+    total = BfvOpCounts()
+    for step in decrypt_program(params.rounds, sides):
+        total.merge(costs[step.op])
+    counts = dataclasses.asdict(total)
+    if engine != "bsgs_hoisted":
+        del counts["decompositions"]
     return counts
 
 
+class CircuitLayout:
+    """One state layout: kernels for every program step plus their op costs.
+
+    Kernels (``state`` is whatever the layout carries between steps; the
+    driver never looks inside):
+
+    * ``prepare_affine(layer, side)`` — the step's public constants,
+      fetched before the step's span opens;
+    * ``affine(state, prepared)``, ``mix(state)``, ``feistel(state)``,
+      ``cube(state)`` — the next state;
+    * ``sub(state, ciphertext)`` — ``m = c - KS``: the output ciphertexts.
+    """
+
+    #: Affine sides, one program step each.
+    sides: Tuple[str, ...] = SLOT_SIDES
+    #: step op -> :class:`BfvOpCounts` one call of its kernel costs.
+    costs: Dict[str, BfvOpCounts]
+    #: ``engine`` attribute of the layout's ``hhe.affine`` spans; None
+    #: opens none (the reference evaluations).
+    span_engine: Optional[str] = None
+    #: Blocks per evaluation, for the spans' modeled cycles.
+    blocks: int = 1
+
+
+def _affine_span(params: PastaParams, layout: CircuitLayout, step: Step):
+    """``hhe.affine`` span of one affine step, carrying the MatMul stage's
+    modeled cycles (``6 + t + log2 t`` per block and side) for
+    :func:`repro.obs.cycles.attribute`."""
+    if layout.span_engine is None:
+        return contextlib.nullcontext()
+    from repro.obs import get_tracer
+    from repro.obs.cycles import modeled_matmul_attributes
+
+    return get_tracer().span(
+        "hhe.affine",
+        metric="hhe.affine.seconds",
+        engine=layout.span_engine,
+        layer=step.layer,
+        side=step.side,
+        # A packed "lr" step covers both sides of every block.
+        **modeled_matmul_attributes(params, layout.blocks * len(step.side)),
+    )
+
+
+def run_program(
+    params: PastaParams,
+    layout: CircuitLayout,
+    state: Any,
+    ciphertext: Optional[Sequence[Sequence[int]]] = None,
+) -> Tuple[Any, BfvOpCounts]:
+    """Run :func:`decrypt_program` on ``layout`` from the key ``state``.
+
+    ``ciphertext`` holds one sequence of elements per block; every element
+    must be a canonical residue in ``[0, p)`` (one check for every layout —
+    nothing is silently reduced). Without it the run stops before
+    ``c - KS`` and returns the final state. Returns ``(output, ops)``,
+    where ``ops`` belongs to this call alone, so concurrent calls on one
+    shared server cannot mix their counts.
+    """
+    if ciphertext is not None:
+        for block in ciphertext:
+            for c in block:
+                if not 0 <= int(c) < params.p:
+                    raise ParameterError(
+                        f"ciphertext element {int(c)} is outside [0, p={params.p})"
+                    )
+    ops = BfvOpCounts()
+    for step in decrypt_program(params.rounds, layout.sides):
+        if step.op == "affine":
+            prepared = layout.prepare_affine(step.layer, step.side)
+            with _affine_span(params, layout, step):
+                state = layout.affine(state, prepared)
+        elif step.op == "sub":
+            if ciphertext is None:
+                break
+            state = layout.sub(state, ciphertext)
+        else:
+            state = getattr(layout, step.op)(state)
+        ops.merge(layout.costs[step.op])
+    return state, ops
+
+
+class ListLayout(CircuitLayout, Generic[T]):
+    """t backend values per state side (``(xl, xr)`` lists), one backend
+    call per scalar op. ``constants`` gives the public values in the
+    backend's form: ``affine(layer, side)`` -> ``(entry(j, k), rc(j))``
+    accessors, and ``plain(column)`` for one ciphertext element across the
+    blocks. ``c - KS`` subtracts ``width`` elements."""
+
+    def __init__(
+        self,
+        backend: ArithmeticBackend[T],
+        constants,
+        t: int,
+        width: Optional[int] = None,
+        span_engine: Optional[str] = None,
+        blocks: int = 1,
+    ):
+        self.backend = backend
+        self.constants = constants
+        self.t = t
+        self.width = t if width is None else width
+        self.costs = slot_costs(t, self.width)
+        self.span_engine = span_engine
+        self.blocks = blocks
+
+    def prepare_affine(self, layer: int, side: str):
+        return (side, *self.constants.affine(layer, side))
+
+    def affine(self, state, prepared):
+        side, entry, rc = prepared
+        xl, xr = state
+        x = xl if side == "l" else xr
+        b = self.backend
+        out: List[T] = []
+        for j in range(len(x)):
+            acc = b.mul_plain(x[0], entry(j, 0))
+            for k in range(1, len(x)):
+                acc = b.add(acc, b.mul_plain(x[k], entry(j, k)))
+            out.append(b.add_plain(acc, rc(j)))
+        return (out, xr) if side == "l" else (xl, out)
+
+    def mix(self, state):
+        xl, xr = state
+        add = self.backend.add
+        s = [add(a, b) for a, b in zip(xl, xr)]
+        return [add(a, m) for a, m in zip(xl, s)], [add(b, m) for b, m in zip(xr, s)]
+
+    def feistel(self, state):
+        full = state[0] + state[1]
+        b = self.backend
+        out = [full[0]] + [b.add(full[j], b.square(full[j - 1])) for j in range(1, len(full))]
+        return out[: self.t], out[self.t :]
+
+    def cube(self, state):
+        b = self.backend
+        out = [b.mul(b.square(x), x) for x in state[0] + state[1]]
+        return out[: self.t], out[self.t :]
+
+    def sub(self, state, ciphertext):
+        b = self.backend
+        keystream = state[0]
+        return [
+            b.add_plain(
+                b.neg(keystream[j]), self.constants.plain([block[j] for block in ciphertext])
+            )
+            for j in range(self.width)
+        ]
+
+
 class KeystreamCircuit:
-    """The keystream computation KS = Trunc(pi(K)) as a backend-generic circuit."""
+    """The keystream computation KS = Trunc(pi(K)) as a backend-generic
+    circuit: the :class:`ListLayout` with this block's public materials."""
 
     def __init__(self, params: PastaParams, materials: BlockMaterials):
         # Structural equality, not identity: materials deserialized or built
@@ -190,7 +403,8 @@ class KeystreamCircuit:
             raise ParameterError("materials were generated for different parameters")
         self.params = params
         self.materials = materials
-        self.cost = CircuitCost()
+        #: Op totals over every run of this circuit.
+        self.ops = BfvOpCounts()
 
     @classmethod
     def for_block(cls, params: PastaParams, nonce: int, counter: int) -> "KeystreamCircuit":
@@ -202,66 +416,52 @@ class KeystreamCircuit:
         """Ciphertext-multiplication depth: one per Feistel round, two for cube."""
         return (params.rounds - 1) + 2
 
+    @property
+    def cost(self) -> CircuitCost:
+        o = self.ops
+        return CircuitCost(o.plain_muls, o.plain_adds, o.adds, o.squares, o.muls)
+
+    # -- list-layout constants ------------------------------------------------
+
+    def affine(self, layer: int, side: str):
+        m = self.materials
+        matrix = m.matrix_l(layer) if side == "l" else m.matrix_r(layer)
+        rc = getattr(m.layers[layer], f"rc_{side}")
+        return (lambda j, k: int(matrix[j, k])), (lambda j: int(rc[j]))
+
+    @staticmethod
+    def plain(column: Sequence[int]) -> int:
+        (c,) = column
+        return int(c)
+
     # -- evaluation -----------------------------------------------------------
 
-    def _affine(
-        self, backend: ArithmeticBackend[T], matrix, state: List[T], rc
-    ) -> List[T]:
-        t = len(state)
-        out: List[T] = []
-        for j in range(t):
-            acc = backend.mul_plain(state[0], int(matrix[j, 0]))
-            self.cost.plain_muls += 1
-            for k in range(1, t):
-                acc = backend.add(acc, backend.mul_plain(state[k], int(matrix[j, k])))
-                self.cost.plain_muls += 1
-                self.cost.ct_adds += 1
-            out.append(backend.add_plain(acc, int(rc[j])))
-            self.cost.plain_adds += 1
-        return out
+    def run(
+        self,
+        key: Sequence[T],
+        backend: ArithmeticBackend[T],
+        ciphertext: Optional[Sequence[int]] = None,
+    ) -> Tuple[List[T], BfvOpCounts]:
+        """One run over ``backend``: outputs plus this run's op counts.
 
-    def _mix(self, backend: ArithmeticBackend[T], xl: List[T], xr: List[T]):
-        s = [backend.add(a, b) for a, b in zip(xl, xr)]
-        left = [backend.add(a, m) for a, m in zip(xl, s)]
-        right = [backend.add(b, m) for b, m in zip(xr, s)]
-        self.cost.ct_adds += 3 * len(xl)
-        return left, right
-
-    def _feistel(self, backend: ArithmeticBackend[T], state: List[T]) -> List[T]:
-        out = [state[0]]
-        for j in range(1, len(state)):
-            out.append(backend.add(state[j], backend.square(state[j - 1])))
-        self.cost.ct_squares += len(state) - 1
-        self.cost.ct_adds += len(state) - 1
-        return out
-
-    def _cube(self, backend: ArithmeticBackend[T], state: List[T]) -> List[T]:
-        out = [backend.mul(backend.square(x), x) for x in state]
-        self.cost.ct_squares += len(state)
-        self.cost.ct_muls += len(state)
-        return out
+        Without ``ciphertext`` the outputs are the t keystream values; with
+        one block of at most t public elements they are ``c_j - KS_j``.
+        """
+        params = self.params
+        t = params.t
+        if ciphertext is not None and len(ciphertext) > t:
+            raise ParameterError(f"block holds at most t={t} elements")
+        if len(key) != params.key_size:
+            raise ParameterError(f"expected {params.key_size} key values, got {len(key)}")
+        blocks = None if ciphertext is None else [ciphertext]
+        layout = ListLayout(backend, self, t, None if blocks is None else len(ciphertext))
+        out, ops = run_program(params, layout, (list(key[:t]), list(key[t:])), blocks)
+        self.ops.merge(ops)
+        return (out[0] if ciphertext is None else out), ops
 
     def evaluate(self, key: Sequence[T], backend: ArithmeticBackend[T]) -> List[T]:
         """Run the permutation on backend values; returns the t keystream values."""
-        params = self.params
-        if len(key) != params.key_size:
-            raise ParameterError(f"expected {params.key_size} key values, got {len(key)}")
-        t = params.t
-        xl = list(key[:t])
-        xr = list(key[t:])
-        for i in range(params.rounds):
-            layer = self.materials.layers[i]
-            xl = self._affine(backend, self.materials.matrix_l(i), xl, layer.rc_l)
-            xr = self._affine(backend, self.materials.matrix_r(i), xr, layer.rc_r)
-            xl, xr = self._mix(backend, xl, xr)
-            full = xl + xr
-            full = self._feistel(backend, full) if i < params.rounds - 1 else self._cube(backend, full)
-            xl, xr = full[:t], full[t:]
-        final = self.materials.layers[params.rounds]
-        xl = self._affine(backend, self.materials.matrix_l(params.rounds), xl, final.rc_l)
-        xr = self._affine(backend, self.materials.matrix_r(params.rounds), xr, final.rc_r)
-        xl, _ = self._mix(backend, xl, xr)
-        return xl
+        return self.run(key, backend)[0]
 
     def decrypt(
         self, key: Sequence[T], ciphertext: Sequence[int], backend: ArithmeticBackend[T]
@@ -269,13 +469,7 @@ class KeystreamCircuit:
         """Homomorphic HHE decryption of one block: ``m_j = c_j - KS_j``.
 
         The ciphertext elements are plain (public) integers; the key values
-        live in the backend's domain. The result is t backend values
-        encrypting/holding the message elements.
+        live in the backend's domain. The result is one backend value per
+        ciphertext element, encrypting/holding the message elements.
         """
-        if len(ciphertext) > self.params.t:
-            raise ParameterError(f"block holds at most t={self.params.t} elements")
-        keystream = self.evaluate(key, backend)
-        out: List[T] = []
-        for c, ks in zip(ciphertext, keystream):
-            out.append(backend.add_plain(backend.neg(ks), int(c)))
-        return out
+        return self.run(key, backend, ciphertext)[0]

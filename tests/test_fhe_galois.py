@@ -27,6 +27,8 @@ from repro.fhe.galois import (
     slots_to_logical,
 )
 
+from hhe_reference import bigint_digits
+
 N = 256
 HALF = N // 2
 
@@ -230,7 +232,6 @@ class TestHoistedRotation:
         scheme, sk, pk, encoder = servers[17]
         eng = scheme.engine
         base, count = scheme.params.relin_base, scheme.params.relin_parts
-        assert eng.exact_digits
         assert eng._digit_decomposer(base, count) is not None
 
         gk = scheme.rotation_keygen(sk, [3])
@@ -257,11 +258,10 @@ class TestHoistedRotation:
         gk = scheme.rotation_keygen(sk, [4])
         pt = encoder.encode(list(range(1, N + 1)))
         stack = scheme.stack_ciphertexts([scheme.encrypt_poly(pk, list(pt))])
-        assert eng.exact_digits
+        base, count = scheme.params.relin_base, scheme.params.relin_parts
+        assert eng._digit_decomposer(base, count) is not None
         exact = scheme.tensor_rotate(stack, 4, gk)
-        eng.exact_digits = False
-        try:
+        with bigint_digits(eng):
             bigint = scheme.tensor_rotate(stack, 4, gk)
-        finally:
-            eng.exact_digits = True
+        assert eng._digit_decomposer(base, count) is not None  # restored
         assert np.array_equal(exact.data, bigint.data)

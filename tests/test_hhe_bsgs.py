@@ -25,6 +25,8 @@ from repro.pasta import (
     random_key,
 )
 
+from hhe_reference import UnhoistedBsgsServer
+
 MICRO_33 = PastaParams(name="micro-33", t=2, rounds=2, p=P33, secure=False)
 #: t=4 exercises a non-trivial split (bs=2, giants=2): the giant-step
 #: Horner loop and the diagonal pre-rotation only run when giants > 1.
@@ -73,10 +75,10 @@ def _transcipher(pasta, rig, engine, messages, nonce, gk=None, hoisted=True):
         [int(x) for x in cipher.encrypt_block(m, nonce=nonce, counter=c)]
         for c, m in enumerate(messages)
     ]
-    server = BatchedHheServer(
+    server_class = BatchedHheServer if hoisted else UnhoistedBsgsServer
+    server = server_class(
         pasta, scheme, rlk, encoder, enc_key,
         engine=engine, galois_keys=galois if engine == "bsgs" else gk,
-        hoisted=hoisted,
     )
     result = server.transcipher_blocks(
         blocks, nonce=nonce, counters=list(range(len(messages)))
