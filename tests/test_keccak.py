@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from repro.keccak import (
     KECCAK_ROUNDS,
     KeccakSponge,
+    Shake,
     keccak_f1600,
     sha3_256,
     sha3_512,
@@ -125,3 +126,93 @@ class TestIncrementalApi:
             KeccakSponge(rate_bytes=0, domain_suffix=0x1F)
         with pytest.raises(ValueError):
             KeccakSponge(rate_bytes=201, domain_suffix=0x1F)
+
+
+def _sponge_xof(rate: int, data: bytes) -> KeccakSponge:
+    sponge = KeccakSponge(rate, domain_suffix=0x1F)
+    sponge.absorb(data)
+    return sponge
+
+
+class TestSpongeModelAgainstHashlib:
+    """The in-repo sponge itself, now that ``Shake`` draws from hashlib."""
+
+    RATES = {168: hashlib.shake_128, 136: hashlib.shake_256}
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_rate_boundary_messages(self, rate):
+        for n in (0, 1, rate - 2, rate - 1, rate, rate + 1, 2 * rate - 1, 2 * rate, 2 * rate + 1):
+            msg = bytes((7 * i) & 0xFF for i in range(n))
+            expected = self.RATES[rate](msg).digest(3 * rate + 5)
+            assert _sponge_xof(rate, msg).squeeze(3 * rate + 5) == expected
+
+    @pytest.mark.parametrize("rate", sorted(RATES))
+    def test_split_squeezes(self, rate):
+        expected = self.RATES[rate](b"split").digest(4 * rate)
+        for splits in ((0, 1, rate - 1, rate), (rate, rate, 0, 2 * rate), (5, 2 * rate, 2 * rate - 5)):
+            sponge = _sponge_xof(rate, b"split")
+            out = b"".join(sponge.squeeze(n) for n in splits)
+            assert out == expected[: len(out)]
+            assert sponge.permutation_count == max(1, -(-len(out) // rate))
+
+
+_SHAKE_CALLS = st.lists(
+    st.one_of(
+        st.tuples(st.just("absorb"), st.binary(max_size=400)),
+        st.tuples(st.just("read"), st.integers(0, 400)),
+        st.tuples(st.just("words"), st.integers(0, 40)),
+    ),
+    max_size=12,
+)
+
+
+class TestShakeMatchesSponge:
+    """``Shake`` (hashlib-backed) is the sponge model, call for call."""
+
+    @given(rate=st.sampled_from([168, 136]), calls=_SHAKE_CALLS)
+    def test_random_absorb_and_read_splits(self, rate, calls):
+        shake = Shake(rate)
+        sponge = KeccakSponge(rate, domain_suffix=0x1F)
+        words = shake.words()
+        squeezing = False
+        for kind, arg in calls:
+            if kind == "absorb" and squeezing:
+                with pytest.raises(RuntimeError):
+                    shake.absorb(arg)
+                with pytest.raises(RuntimeError):
+                    sponge.absorb(arg)
+            elif kind == "absorb":
+                shake.absorb(arg)
+                sponge.absorb(arg)
+            elif kind == "read":
+                assert shake.read(arg) == sponge.squeeze(arg)
+                squeezing = True
+            else:
+                squeezing = squeezing or arg > 0
+                got = [next(words) for _ in range(arg)]
+                assert got == [int.from_bytes(sponge.squeeze(8), "little") for _ in range(arg)]
+            assert shake.permutation_count == sponge.permutation_count
+        assert shake.read(rate + 3) == sponge.squeeze(rate + 3)
+        assert shake.permutation_count == sponge.permutation_count
+
+    def test_read_zero_finalizes(self):
+        shake = shake128(b"x" * 168)
+        shake.read(0)
+        assert shake.permutation_count == 2
+        with pytest.raises(RuntimeError):
+            shake.absorb(b"")
+
+
+class TestShakeRejectsMalformedInput:
+    def test_negative_read(self):
+        shake = shake128(b"seed")
+        with pytest.raises(ValueError):
+            shake.read(-1)
+        # The rejected read did not finalize: absorbing is still allowed.
+        shake.absorb(b"more")
+        assert shake.read(16) == hashlib.shake_128(b"seedmore").digest(16)
+
+    @pytest.mark.parametrize("rate", [0, 72, 100, 144, 200])
+    def test_unsupported_rate(self, rate):
+        with pytest.raises(ValueError):
+            Shake(rate)
