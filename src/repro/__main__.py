@@ -6,9 +6,9 @@ Usage::
     python -m repro table2               # print one experiment
     python -m repro all                  # print everything
     python -m repro report [PATH]        # (re)write EXPERIMENTS.md
-    python -m repro service [options]    # run the streaming pipeline demo
+    python -m repro service [options]    # stream one camera through the service
     python -m repro multitenant [opts]   # sharded multi-tenant service demo
-    python -m repro trace [options]      # traced pipeline run -> Perfetto JSON
+    python -m repro trace [options]      # traced service run -> Perfetto JSON
     python -m repro health [options]     # SLO health report for a short run
     python -m repro perfgate [options]   # BENCH_*.json vs committed baselines
 
@@ -73,14 +73,42 @@ from __future__ import annotations
 import sys
 
 
+#: Tenant id of the single camera the service and trace commands stream.
+CAMERA = "camera"
+
+
+def _camera_config(frames: int, workers: int, mode: str):
+    """One camera streaming ``frames`` tiles: a one-tenant, one-shard service."""
+    from repro.apps.video import Resolution
+    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
+    from repro.service import TILE8, MultiTenantConfig, TenantSpec
+
+    hhe = mode == "hhe"
+    camera = TenantSpec(
+        CAMERA,
+        sessions=1,
+        frames_per_session=frames,
+        resolution=Resolution("TILE4", 4, 4) if hhe else TILE8,
+    )
+    return MultiTenantConfig(
+        tenants=(camera,),
+        params=PASTA_MICRO if hhe else PASTA_TOY,
+        n_shards=1,
+        workers_per_shard=workers,
+        batch_frames=4 if hhe else 32,
+        worker_batch=4 if hhe else 32,
+        queue_capacity=128,
+        mode=mode,
+    )
+
+
 def service_main(argv) -> int:
     """Run the streaming transciphering service once and report metrics."""
     import json
 
+    from repro.errors import ParameterError
     from repro.obs import MetricsRegistry
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, ServiceConfig, StreamingPipeline, TILE8
-    from repro.apps.video import Resolution
+    from repro.service import FaultPlan, MultiTenantService
 
     opts = {"frames": 128, "workers": 4, "drop-rate": 0.0, "corrupt-rate": 0.0,
             "mode": "symmetric", "json": False}
@@ -99,41 +127,40 @@ def service_main(argv) -> int:
             print(f"unknown service option {arg!r}", file=sys.stderr)
             return 2
 
-    hhe = opts["mode"] == "hhe"
-    config = ServiceConfig(
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        resolution=Resolution("TILE4", 4, 4) if hhe else TILE8,
-        n_frames=opts["frames"],
-        n_workers=opts["workers"],
-        batch_frames=4 if hhe else 32,
-        worker_batch=4 if hhe else 32,
-        queue_capacity=128,
-        mode=opts["mode"],
-    )
-    plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"], corrupt_rate=opts["corrupt-rate"])
+    try:
+        config = _camera_config(opts["frames"], opts["workers"], opts["mode"])
+        plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"],
+                         corrupt_rate=opts["corrupt-rate"])
+    except ParameterError as exc:
+        print(f"invalid service option: {exc}", file=sys.stderr)
+        return 2
     registry = MetricsRegistry()
-    result = StreamingPipeline(config, plan, registry=registry).run()
+    result = MultiTenantService(config, plan, registry=registry).run()
 
     if opts["json"]:
-        print(json.dumps({"fps": result.fps, "frames": len(result.frames),
+        print(json.dumps({"fps": result.frames_per_s, "frames": result.frames_recovered,
                           "metrics": result.metrics}, indent=2))
         return 0
+    camera = config.tenants[0]
     retried = sum(1 for n in result.attempts.values() if n > 1)
     print(f"streaming service ({config.mode}, {config.params.name}, "
-          f"{config.resolution.name}, {config.n_workers} workers)")
-    print(f"  frames recovered  {len(result.frames)}/{config.n_frames}")
-    print(f"  sustained rate    {result.fps:.1f} frames/s over {result.duration_seconds:.2f}s")
+          f"{camera.resolution.name}, {config.workers_per_shard} workers)")
+    print(f"  frames recovered  {result.frames_recovered}/{config.total_frames}")
+    print(f"  sustained rate    {result.frames_per_s:.1f} frames/s "
+          f"over {result.duration_seconds:.2f}s")
     print(f"  frames retried    {retried}")
     for name in ("service.uplink.dropped", "service.crc.rejected", "service.retries",
                  "service.frames.duplicate", "service.degradation.steps"):
-        value = result.metrics.get(name, {}).get("value", 0)
-        print(f"  {name:<26} {value}")
-    for stage in ("service.encrypt.seconds", "service.recover.seconds",
-                  "service.frame_latency.seconds"):
-        hist = result.metrics.get(stage)
-        if hist and hist["count"]:
-            print(f"  {stage:<30} p50 {hist['p50'] * 1e3:7.2f} ms   "
-                  f"p99 {hist['p99'] * 1e3:7.2f} ms")
+        print(f"  {name:<26} {registry.counter(name, tenant=CAMERA).value}")
+    stages = (
+        registry.histogram("service.encrypt.seconds"),
+        registry.histogram("service.recover.seconds"),
+        registry.histogram("service.tenant.frame_latency.seconds", tenant=CAMERA),
+    )
+    for hist in stages:
+        if hist.count:
+            print(f"  {hist.name:<36} p50 {hist.percentile(50) * 1e3:7.2f} ms   "
+                  f"p99 {hist.percentile(99) * 1e3:7.2f} ms")
     return 0
 
 
@@ -217,7 +244,8 @@ def multitenant_main(argv) -> int:
 
 
 def trace_main(argv) -> int:
-    """Run one traced pipeline pass; export Perfetto JSON + cycle report."""
+    """Run one traced service pass; export Perfetto JSON + cycle report."""
+    from repro.errors import ParameterError
     from repro.obs import (
         FlightRecorder,
         MetricsRegistry,
@@ -229,9 +257,7 @@ def trace_main(argv) -> int:
         write_chrome_trace,
     )
     from repro.obs.cycles import attribute
-    from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-    from repro.service import FaultPlan, ServiceConfig, StreamingPipeline, TILE8
-    from repro.apps.video import Resolution
+    from repro.service import FaultPlan, MultiTenantService
 
     opts = {"out": "trace.json", "metrics-out": None, "frames": 64, "workers": 4,
             "drop-rate": 0.0, "mode": "symmetric", "tolerance": 0.25}
@@ -248,18 +274,12 @@ def trace_main(argv) -> int:
             print(f"unknown trace option {arg!r}", file=sys.stderr)
             return 2
 
-    hhe = opts["mode"] == "hhe"
-    config = ServiceConfig(
-        params=PASTA_MICRO if hhe else PASTA_TOY,
-        resolution=Resolution("TILE4", 4, 4) if hhe else TILE8,
-        n_frames=opts["frames"],
-        n_workers=opts["workers"],
-        batch_frames=4 if hhe else 32,
-        worker_batch=4 if hhe else 32,
-        queue_capacity=128,
-        mode=opts["mode"],
-    )
-    plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"])
+    try:
+        config = _camera_config(opts["frames"], opts["workers"], opts["mode"])
+        plan = FaultPlan(seed=1, drop_rate=opts["drop-rate"])
+    except ParameterError as exc:
+        print(f"invalid trace option: {exc}", file=sys.stderr)
+        return 2
 
     # Fresh registry + tracer + flight recorder for exactly this run; the
     # engines' spans resolve the globals at call time, so swap them in and
@@ -270,7 +290,7 @@ def trace_main(argv) -> int:
     previous_registry = set_registry(MetricsRegistry())
     previous_recorder = set_flight_recorder(recorder)
     try:
-        result = StreamingPipeline(config, plan).run()
+        result = MultiTenantService(config, plan).run()
     finally:
         registry = set_registry(previous_registry)
         set_tracer(previous_tracer)
@@ -284,9 +304,10 @@ def trace_main(argv) -> int:
             fh.write(prometheus_text(registry, recorder=recorder))
 
     report = attribute(tracer.finished_spans(), tolerance=opts["tolerance"])
-    print(f"traced pipeline run ({config.mode}, {config.params.name}, "
-          f"{config.n_workers} workers): {len(result.frames)}/{config.n_frames} frames, "
-          f"{result.fps:.1f} frames/s")
+    print(f"traced service run ({config.mode}, {config.params.name}, "
+          f"{config.workers_per_shard} workers): "
+          f"{result.frames_recovered}/{config.total_frames} frames, "
+          f"{result.frames_per_s:.1f} frames/s")
     print(f"  {n_spans} spans -> {opts['out']}  (open at https://ui.perfetto.dev)")
     if opts["metrics-out"]:
         print(f"  metrics -> {opts['metrics-out']} (Prometheus text)")

@@ -37,7 +37,7 @@ def measured_pipeline_rows() -> list:
     from repro.obs import MetricsRegistry
     from repro.pasta.cipher import Pasta, random_key
     from repro.pasta.params import PASTA_TOY
-    from repro.service import NO_FAULTS, ServiceConfig, StreamingPipeline, TILE8
+    from repro.service import NO_FAULTS, TILE8, MultiTenantConfig, MultiTenantService, TenantSpec
 
     cipher = Pasta(PASTA_TOY, random_key(PASTA_TOY, b"fig8"))
     nonces = NonceSequence()
@@ -46,22 +46,24 @@ def measured_pipeline_rows() -> list:
         encrypt_frame(cipher, TILE8, nonces, seed=frame_id)
     serial_fps = MEASURE_FRAMES / (time.perf_counter() - start)
 
-    config = ServiceConfig(
+    # One camera: a one-tenant, one-shard service with 4 recovery workers.
+    config = MultiTenantConfig(
+        tenants=(TenantSpec("camera", sessions=1, frames_per_session=MEASURE_FRAMES,
+                            resolution=TILE8),),
         params=PASTA_TOY,
-        resolution=TILE8,
-        n_frames=MEASURE_FRAMES,
-        n_workers=4,
+        n_shards=1,
+        workers_per_shard=4,
         batch_frames=32,
         worker_batch=32,
         queue_capacity=128,
     )
-    result = StreamingPipeline(config, NO_FAULTS, registry=MetricsRegistry()).run()
+    fps = MultiTenantService(config, NO_FAULTS, registry=MetricsRegistry()).run().frames_per_s
     frame_kb = TILE8.pixels // 2 * 4 / 1e3  # 32 uint32 elements on the wire
     return [
         ["meas.", TILE8.name, "serial encrypt loop (toy)", round(serial_fps, 1),
          round(serial_fps, 1), "yes", frame_kb],
-        ["meas.", TILE8.name, "service pipeline, 4 workers (toy)", round(result.fps, 1),
-         round(result.fps, 1), "yes", frame_kb],
+        ["meas.", TILE8.name, "service pipeline, 4 workers (toy)", round(fps, 1),
+         round(fps, 1), "yes", frame_kb],
     ]
 
 

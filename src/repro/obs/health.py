@@ -14,7 +14,7 @@ minimum noise headroom) under a :class:`SloPolicy`, yielding the
 :class:`HealthReport` behind ``python -m repro health``.
 
 Everything here takes only its own lock and never calls back into the
-queueing/cache layers, so producers (pipeline workers, cache
+queueing/cache layers, so producers (service workers, cache
 rebalancing under ``CacheBudget._lock``) may record events from any
 context without lock-ordering hazards.
 """
@@ -315,8 +315,7 @@ def evaluate_health(
     """Fold the registry + recorder into a :class:`HealthReport`.
 
     Tenants are enumerated from the ``service.tenant.frame_latency.seconds``
-    label family; the single-tenant pipeline (no tenant labels) reports as
-    the pseudo-tenant ``default`` from its unlabeled latency histogram.
+    label family; a one-tenant run reports under its own tenant id.
     A window with no data for an objective skips that objective rather
     than fabricating a violation.
     """
@@ -330,29 +329,16 @@ def evaluate_health(
     headroom = registry.collect("fhe.noise.headroom.window")
     tenants = _label_values(latency, "tenant")
 
-    statuses: List[SloStatus] = []
-    if not tenants:
-        solo = registry.collect("service.frame_latency.seconds")
-        if solo:
-            statuses.append(
-                _score(
-                    "default",
-                    solo[0],
-                    _labeled(lost, **{}),
-                    _min_headroom(headroom, tenant=None),
-                    policy,
-                )
-            )
-    for tenant in sorted(tenants):
-        statuses.append(
-            _score(
-                tenant,
-                _labeled(latency, tenant=tenant),
-                _labeled(lost, tenant=tenant),
-                _min_headroom(headroom, tenant=tenant),
-                policy,
-            )
+    statuses = [
+        _score(
+            tenant,
+            _labeled(latency, tenant=tenant),
+            _labeled(lost, tenant=tenant),
+            _min_headroom(headroom, tenant=tenant),
+            policy,
         )
+        for tenant in sorted(tenants)
+    ]
 
     counts = recorder.counts()
     critical = sum(1 for e in recorder.events() if e.severity == "critical")
@@ -365,10 +351,10 @@ def evaluate_health(
     )
 
 
-def _min_headroom(headroom_metrics: Sequence, tenant: Optional[str]) -> Optional[float]:
+def _min_headroom(headroom_metrics: Sequence, tenant: str) -> Optional[float]:
     mins: List[float] = []
     for metric in headroom_metrics:
-        if tenant is not None and metric.labels.get("tenant") != tenant:
+        if metric.labels.get("tenant") != tenant:
             continue
         value = _finite(metric.summary().get("min"))
         if value is not None:

@@ -10,7 +10,7 @@ Design constraints, in order:
    seeded-RNG draw. Nothing allocates per sample beyond the float being
    stored, so instrumenting a per-batch hot path does not perturb what it
    measures.
-2. **Thread-safe.** The pipeline's producer, worker pool, and sink all
+2. **Thread-safe.** The service's producer, worker pool, and sink all
    report concurrently; each metric carries its own lock.
 3. **Exportable.** ``registry.snapshot()`` is plain JSON-able data — the
    service benchmark dumps it into ``BENCH_service_pipeline.json``, the

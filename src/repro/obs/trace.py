@@ -7,7 +7,7 @@ Chrome trace-event / Perfetto JSON format (:mod:`repro.obs.export`) and
 for cycle attribution against the hardware model
 (:mod:`repro.obs.cycles`).
 
-Two propagation mechanisms, matching the service pipeline's topology:
+Two propagation mechanisms, matching the streaming service's topology:
 
 * **Implicit (same thread).** A :data:`contextvars.ContextVar` holds the
   current span; ``tracer.span(...)`` parents to it automatically, so the
@@ -18,8 +18,8 @@ Two propagation mechanisms, matching the service pipeline's topology:
 * **Explicit (across threads).** Thread pools break context variables: a
   worker thread dequeuing a job has no ancestor on its own stack. Call
   sites capture ``span.context`` (a tiny frozen :class:`SpanContext`) and
-  hand it through the job record — the pipeline carries it in each
-  :class:`~repro.service.pipeline.WireFrame` — then pass it back as
+  hand it through the job record — the service carries it in each
+  :class:`~repro.service.wire.WireFrame` — then pass it back as
   ``parent=`` on the far side. The recovered span joins the original
   trace even though it ended on a different thread.
 
@@ -150,7 +150,7 @@ class Tracer:
 
         ``metric`` names the histogram fed with the duration (defaults to
         the span name); ``registry`` overrides the tracer's registry for
-        this span (the pipeline routes stage histograms into its own
+        this span (the service routes stage histograms into its own
         registry); extra keyword arguments become span attributes.
         """
         if parent is None:

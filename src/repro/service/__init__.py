@@ -1,10 +1,10 @@
 """Streaming transciphering service: pipelined HHE with faults and retries.
 
-See :mod:`repro.service.pipeline` for the single-tenant architecture
-overview, :mod:`repro.service.faults` for the deterministic uplink fault
-model, and :mod:`repro.service.tenants` for the multi-tenant sharded
-front end (sessions, shard routing, admission control, load shedding,
-global cache budgets).
+See :mod:`repro.service.tenants` for the architecture overview (sessions,
+shard routing, admission control, load shedding and degradation, global
+cache budgets; one camera is the one-tenant configuration),
+:mod:`repro.service.wire` for what crosses the uplink, and
+:mod:`repro.service.faults` for the deterministic uplink fault model.
 """
 
 from repro.service.faults import (
@@ -14,22 +14,9 @@ from repro.service.faults import (
     checksum,
     corrupt_payload,
 )
-from repro.service.pipeline import (
-    TILE8,
-    TILE16,
-    HheRecovery,
-    PipelineResult,
-    RecoveredFrame,
-    ServiceConfig,
-    StreamingPipeline,
-    SymmetricRecovery,
-    WireFrame,
-    backoff_jitter_fraction,
-    pack_frames,
-    unpack_frames,
-)
 from repro.service.tenants import (
     AdmissionController,
+    HheRecovery,
     MultiTenantConfig,
     MultiTenantResult,
     MultiTenantService,
@@ -37,6 +24,14 @@ from repro.service.tenants import (
     TenantRuntime,
     TenantSpec,
     derive_tenant_key,
+)
+from repro.service.wire import (
+    TILE8,
+    TILE16,
+    WireFrame,
+    backoff_jitter_fraction,
+    pack_frames,
+    unpack_frames,
 )
 
 __all__ = [
@@ -48,12 +43,7 @@ __all__ = [
     "MultiTenantResult",
     "MultiTenantService",
     "NO_FAULTS",
-    "PipelineResult",
-    "RecoveredFrame",
-    "ServiceConfig",
     "ShardRouter",
-    "StreamingPipeline",
-    "SymmetricRecovery",
     "TILE16",
     "TILE8",
     "TenantRuntime",

@@ -31,6 +31,31 @@ class TestCli:
         assert "MatGen" in capsys.readouterr().out
 
 
+class TestServiceCommand:
+    def test_json_run_reports_every_frame(self, capsys):
+        rc = main(["service", "--frames", "16", "--drop-rate", "0.1", "--json"])
+        assert rc == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["frames"] == 16
+        assert payload["fps"] > 0
+        recovered = payload["metrics"]['service.frames.recovered{tenant="camera"}']
+        assert recovered["value"] == 16
+
+    def test_summary_run(self, capsys):
+        assert main(["service", "--frames", "8", "--workers", "2"]) == 0
+        out = capsys.readouterr().out
+        assert "frames recovered  8/8" in out
+        assert "service.tenant.frame_latency.seconds" in out
+
+    def test_zero_frames_rejected(self, capsys):
+        assert main(["service", "--frames", "0"]) == 2
+        assert "invalid service option" in capsys.readouterr().err
+
+    def test_rejects_unknown_option(self, capsys):
+        assert main(["service", "--bogus", "1"]) == 2
+        assert "unknown service option" in capsys.readouterr().err
+
+
 class TestTraceCommand:
     def test_trace_writes_perfetto_json_and_report(self, tmp_path, capsys):
         trace_out = tmp_path / "trace.json"
@@ -53,15 +78,15 @@ class TestTraceCommand:
         ks = [e for e in events if e["name"] == "pasta.keystream"]
         assert all(e["args"]["modeled_cycles"] > 0 for e in ks)
 
-        # The uplink queue depth sampled by the pipeline rides along as a
-        # Perfetto counter track sharing the span epoch.
+        # The uplink queue depth sampled per shard by the service rides
+        # along as a Perfetto counter track sharing the span epoch.
         counters = [e for e in doc["traceEvents"] if e["ph"] == "C"]
-        assert "service.uplink.depth" in {e["name"] for e in counters}
+        assert "service.uplink.depth/shard0" in {e["name"] for e in counters}
         assert all(e["ts"] >= 0 for e in counters)
 
         prom = metrics_out.read_text()
         assert "# TYPE service_encrypt_seconds summary" in prom
-        assert "service_frames_recovered_total 16" in prom
+        assert 'service_frames_recovered_total{tenant="camera"} 16' in prom
         assert "service_uplink_depth_max" in prom
         # The flight recorder renders even when the run had no incidents.
         assert "repro_flight_events_dropped_total 0" in prom

@@ -149,11 +149,21 @@ class TestEvaluateHealth:
         assert s.frame_loss is None and s.min_headroom_bits is None
         assert s.ok and report.healthy
 
-    def test_single_tenant_pipeline_scores_pseudo_tenant(self):
+    def test_one_tenant_run_reports_under_its_tenant_id(self):
+        from repro.service import MultiTenantConfig, MultiTenantService, TenantSpec
+
         reg = MetricsRegistry()
+        camera = TenantSpec("camera", sessions=1, frames_per_session=4)
+        config = MultiTenantConfig(tenants=(camera,), n_shards=1, workers_per_shard=2)
+        MultiTenantService(config, registry=reg, tracer=Tracer()).run()
+        # An unlabeled latency histogram is no longer scored as a
+        # pseudo-tenant: only tenant-labeled windows are.
         reg.histogram("service.frame_latency.seconds").observe(0.05)
         report = evaluate_health(registry=reg, recorder=FlightRecorder())
-        assert [s.tenant for s in report.statuses] == ["default"]
+        assert [s.tenant for s in report.statuses] == ["camera"]
+        status = report.statuses[0]
+        assert status.frame_loss == 0
+        assert status.p99_latency_seconds is not None
         assert report.healthy
 
     def test_no_traffic_still_reports(self):

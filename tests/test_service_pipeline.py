@@ -1,6 +1,7 @@
-"""Tests for the streaming transciphering service (repro.service).
+"""Tests for the streaming transciphering service (repro.service), one camera.
 
-The fault tests lean on two determinism guarantees: synthetic frame
+Every run here is the one-tenant configuration: one tenant streaming one
+session over one shard, with ``n_workers`` recovery workers. The fault tests lean on two determinism guarantees: synthetic frame
 content is a pure function of (resolution, frame_id), and the fault plan
 is a pure function of (frame_id, attempt). Recovered output must therefore
 be bit-exact with a no-fault run regardless of thread interleaving.
@@ -18,36 +19,77 @@ from repro.service import (
     NO_FAULTS,
     FaultAction,
     FaultPlan,
-    ServiceConfig,
-    StreamingPipeline,
+    MultiTenantConfig,
+    MultiTenantService,
     TILE8,
     TILE16,
+    TenantRuntime,
+    TenantSpec,
     checksum,
     corrupt_payload,
 )
 
 # The conftest autouse fixture installs a fresh default registry and
-# tracer per test, so the pipeline (and these tests) just use the
+# tracer per test, so the service (and these tests) just use the
 # globals — no per-test registry plumbing or resets needed.
 
+CAMERA = "camera"
 
-def run_pipeline(plan=NO_FAULTS, **overrides):
+
+def camera_service(
+    plan=NO_FAULTS,
+    n_frames=24,
+    resolution=TILE8,
+    degradation_ladder=(),
+    n_workers=4,
+    worker_gate=None,
+    **overrides,
+):
+    """One camera: one tenant, one session of ``n_frames``, one shard."""
+    camera = TenantSpec(
+        CAMERA,
+        sessions=1,
+        frames_per_session=n_frames,
+        resolution=resolution,
+        degradation_ladder=degradation_ladder,
+    )
     defaults = dict(
-        n_frames=24,
-        resolution=TILE8,
-        n_workers=4,
+        n_shards=1,
+        workers_per_shard=n_workers,
         batch_frames=8,
         timeout_seconds=0.002,
         backoff_base_seconds=0.001,
         backoff_max_seconds=0.01,
     )
     defaults.update(overrides)
-    config = ServiceConfig(**defaults)
-    return StreamingPipeline(config, plan).run()
+    config = MultiTenantConfig(tenants=(camera,), **defaults)
+    return MultiTenantService(config, plan, worker_gate=worker_gate)
 
 
-def expected_pixels(frame):
-    return bytes(synthetic_frame(frame.resolution, frame.frame_id))
+def run_camera(plan=NO_FAULTS, **overrides):
+    service = camera_service(plan, **overrides)
+    return service, service.run()
+
+
+def frames_of(service):
+    """``(frame_id, resolution, recovered pixels)`` for every frame, in order."""
+    return [
+        (uid, service._frames[uid].resolution, service.recovered_pixels(uid))
+        for uid in sorted(service._frames)
+    ]
+
+
+def assert_bit_exact(service):
+    for uid, resolution, pixels in frames_of(service):
+        assert pixels == bytes(synthetic_frame(resolution, uid)), f"frame {uid}"
+
+
+def nonces_of(service):
+    return {uid: list(job.nonces) for uid, job in service._frames.items()}
+
+
+def counter(name):
+    return get_registry().counter(name, tenant=CAMERA).value
 
 
 class TestFaultPlan:
@@ -84,45 +126,47 @@ class TestFaultPlan:
 
 class TestCleanRun:
     def test_all_frames_recovered_in_order(self):
-        result = run_pipeline()
-        assert [f.frame_id for f in result.frames] == list(range(24))
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        service, result = run_camera()
+        assert [uid for uid, _, _ in frames_of(service)] == list(range(24))
+        assert_bit_exact(service)
+        assert sorted(result.attempts) == list(range(24))
         assert all(n == 1 for n in result.attempts.values())
 
     def test_nonces_unique_across_frames(self):
-        result = run_pipeline()
-        drawn = [n for ns in result.nonces.values() for n in ns]
+        service, _ = run_camera()
+        drawn = [n for ns in nonces_of(service).values() for n in ns]
         assert len(drawn) == len(set(drawn)) == 24
 
     def test_metrics_cover_stages(self):
-        result = run_pipeline()
+        _, result = run_camera()
         snap = result.metrics
         for stage in ("service.synthesize.seconds", "service.encrypt.seconds",
-                      "service.recover.seconds", "service.frame_latency.seconds",
-                      "service.worker.idle.seconds"):
+                      "service.recover.seconds",
+                      f'service.tenant.frame_latency.seconds{{tenant="{CAMERA}"}}',
+                      'service.worker.idle.seconds{shard="0"}'):
             assert snap[stage]["count"] > 0, stage
-        assert snap["service.frames.recovered"]["value"] == 24
+        assert snap[f'service.frames.recovered{{tenant="{CAMERA}"}}']["value"] == 24
 
     def test_uplink_depth_balances_to_zero(self):
-        run_pipeline()
-        depth = get_registry().gauge("service.uplink.depth")
+        run_camera()
+        depth = get_registry().gauge("service.uplink.depth", shard=0)
         # Every producer-side put was matched by a worker-side drain, and
         # the queue genuinely held frames at some point.
         assert depth.value == 0
         assert depth.max >= 1
 
     def test_zero_frames(self):
-        result = run_pipeline(n_frames=0)
-        assert result.frames == []
+        # A session has at least one frame; an empty stream is a config error.
+        with pytest.raises(ParameterError):
+            camera_service(n_frames=0)
 
 
 class TestFaultRecovery:
     def test_scheduled_drops_recover_bit_exact(self):
-        baseline = run_pipeline()
+        baseline, _ = run_camera()
         plan = FaultPlan(drop_at=frozenset({(2, 0), (2, 1), (9, 0), (17, 0)}))
-        result = run_pipeline(plan)
-        assert [f.pixels for f in result.frames] == [f.pixels for f in baseline.frames]
+        service, result = run_camera(plan)
+        assert frames_of(service) == frames_of(baseline)
         assert result.attempts[2] == 3  # two drops then success
         assert result.attempts[9] == 2
         assert result.attempts[17] == 2
@@ -133,92 +177,130 @@ class TestFaultRecovery:
             drop_at=frozenset({(3, 0)}),
             corrupt_at=frozenset({(7, 0), (7, 1)}),
         )
-        result = run_pipeline(plan)
-        for frame_id, nonces in result.nonces.items():
-            assert len(nonces) == result.attempts[frame_id]
-            assert len(nonces) == len(set(nonces)), f"frame {frame_id} reused a nonce"
-        all_nonces = [n for ns in result.nonces.values() for n in ns]
+        service, result = run_camera(plan)
+        nonces = nonces_of(service)
+        for frame_id, drawn in nonces.items():
+            assert len(drawn) == result.attempts[frame_id]
+            assert len(drawn) == len(set(drawn)), f"frame {frame_id} reused a nonce"
+        all_nonces = [n for ns in nonces.values() for n in ns]
         assert len(all_nonces) == len(set(all_nonces))
         assert result.attempts[7] == 3
 
     def test_corruption_detected_and_retried(self):
         plan = FaultPlan(corrupt_at=frozenset({(1, 0), (12, 0)}))
-        result = run_pipeline(plan)
-        assert get_registry().counter("service.crc.rejected").value == 2
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        service, _ = run_camera(plan)
+        assert counter("service.crc.rejected") == 2
+        assert_bit_exact(service)
 
     def test_random_rates_zero_loss(self):
         plan = FaultPlan(seed=11, drop_rate=0.10, corrupt_rate=0.05)
-        result = run_pipeline(plan, n_frames=32)
-        assert len(result.frames) == 32
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        service, result = run_camera(plan, n_frames=32)
+        assert result.frames_recovered == 32
+        assert_bit_exact(service)
 
     def test_late_delivery_is_deduplicated(self):
         plan = FaultPlan(delay_at=frozenset({(5, 0)}), delay_seconds=0.02)
-        result = run_pipeline(plan, timeout_seconds=0.002)
-        assert len(result.frames) == 24
+        _, result = run_camera(plan, timeout_seconds=0.002)
+        assert result.frames_recovered == 24
         # the delayed original AND its retransmit both arrive; one is dropped
-        registry = get_registry()
-        assert (
-            registry.counter("service.frames.duplicate").value
-            + registry.counter("service.frames.recovered").value
-            >= 25
-        )
+        assert counter("service.frames.duplicate") + counter("service.frames.recovered") >= 25
 
     def test_retries_exhausted_raises(self):
         plan = FaultPlan(drop_at=frozenset({(0, a) for a in range(10)}))
-        config = ServiceConfig(
+        service = camera_service(
+            plan,
             n_frames=2,
-            resolution=TILE8,
             max_retries=3,
             timeout_seconds=0.001,
             backoff_base_seconds=0.0005,
             backoff_max_seconds=0.002,
         )
         with pytest.raises(ServiceError):
-            StreamingPipeline(config, plan).run()
+            service.run()
 
 
 class TestBackpressureDegradation:
     def test_saturation_triggers_exactly_one_downshift(self):
         gate = threading.Event()  # workers held until we release them
-        registry = get_registry()
-        config = ServiceConfig(
+        service = camera_service(
             n_frames=24,
             resolution=TILE16,
             degradation_ladder=(TILE8,),
             n_workers=2,
             batch_frames=4,
             queue_capacity=2,
-            saturation_put_timeout=0.01,
+            shed_put_timeout=0.01,
+            worker_gate=gate,
         )
-        pipeline = StreamingPipeline(config, NO_FAULTS, worker_gate=gate)
-        runner = threading.Thread(target=lambda: setattr(pipeline, "_test_result", pipeline.run()))
+        runner = threading.Thread(target=lambda: setattr(service, "_test_result", service.run()))
         runner.start()
         # Wait until the producer has actually hit a full queue.
         for _ in range(400):
-            if registry.counter("service.saturation.events").value >= 1:
+            if counter("service.shed.frames") >= 1:
                 break
             threading.Event().wait(0.005)
         gate.set()
         runner.join(timeout=60)
         assert not runner.is_alive()
-        result = pipeline._test_result
-        assert registry.counter("service.saturation.events").value >= 1
-        # One continuous saturation episode => exactly one ladder step.
-        assert result.degradation_steps == 1
-        assert len(result.frames) == 24
-        resolutions = {f.resolution.name for f in result.frames}
+        result = service._test_result
+        assert counter("service.shed.frames") >= 1
+        # One continuous shed episode => exactly one ladder step.
+        assert counter("service.degradation.steps") == 1
+        assert result.frames_recovered == 24
+        resolutions = {resolution.name for _, resolution, _ in frames_of(service)}
         assert "TILE8" in resolutions  # later frames downshifted
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        assert_bit_exact(service)
+
+    def test_each_shed_episode_steps_exactly_one_rung(self):
+        tile4 = Resolution("TILE4", 4, 4)
+        spec = TenantSpec(CAMERA, resolution=TILE16, degradation_ladder=(TILE8, tile4))
+        runtime = TenantRuntime(spec, PASTA_TOY, b"ladder")
+        assert runtime.note_put(shed=True)  # an episode starts: one rung
+        assert not runtime.note_put(shed=True)  # the same episode
+        assert runtime.resolution == TILE8
+        assert not runtime.note_put(shed=False)  # a successful put ends it
+        assert runtime.note_put(shed=True)  # the next episode: one more rung
+        assert runtime.resolution == tile4
+        runtime.note_put(shed=False)
+        assert not runtime.note_put(shed=True)  # the floor holds
+        assert runtime.resolution == tile4
+
+    def test_retry_keeps_its_first_resolution(self):
+        # Frame 0's first transmission (TILE16) is dropped; its retry is
+        # encrypted after the downshift and must still go out at TILE16.
+        gate = threading.Event()
+        service = camera_service(
+            FaultPlan(drop_at=frozenset({(0, 0)})),
+            n_frames=12,
+            resolution=TILE16,
+            degradation_ladder=(TILE8,),
+            n_workers=2,
+            batch_frames=4,
+            queue_capacity=2,
+            shed_put_timeout=0.01,
+            worker_gate=gate,
+        )
+        runner = threading.Thread(target=lambda: setattr(service, "_test_result", service.run()))
+        runner.start()
+        for _ in range(400):
+            if counter("service.degradation.steps") >= 1:
+                break
+            threading.Event().wait(0.005)
+        gate.set()
+        runner.join(timeout=60)
+        assert not runner.is_alive()
+        result = service._test_result
+        assert counter("service.degradation.steps") == 1
+        assert result.attempts[0] == 2
+        resolutions = {uid: resolution.name for uid, resolution, _ in frames_of(service)}
+        assert resolutions[0] == "TILE16"
+        assert "TILE8" in resolutions.values()
+        assert_bit_exact(service)
 
     def test_no_downshift_without_ladder(self):
-        result = run_pipeline(queue_capacity=1, saturation_put_timeout=0.001)
-        assert result.degradation_steps == 0
-        assert len(result.frames) == 24
+        _, result = run_camera(queue_capacity=1, shed_put_timeout=0.001)
+        assert counter("service.degradation.steps") == 0
+        assert result.frames_recovered == 24
 
 
 @pytest.mark.slow
@@ -227,7 +309,7 @@ class TestHheMode:
         # 4x4 tile -> 8 elements -> 4 full PASTA_MICRO blocks per frame.
         tile = Resolution("TILE4", 4, 4)
         plan = FaultPlan(drop_at=frozenset({(1, 0)}))
-        result = run_pipeline(
+        service, result = run_camera(
             plan,
             params=PASTA_MICRO,
             resolution=tile,
@@ -237,9 +319,8 @@ class TestHheMode:
             worker_batch=3,
             mode="hhe",
         )
-        assert len(result.frames) == 3
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        assert result.frames_recovered == 3
+        assert_bit_exact(service)
         assert result.attempts[1] == 2
 
 
@@ -247,7 +328,7 @@ class TestTracePropagation:
     """Spans nest within the producer thread and join across thread hops."""
 
     def test_producer_spans_nest_run_to_keystream(self):
-        run_pipeline()
+        run_camera()
         tracer = get_tracer()
         by_id = {s.span_id: s for s in tracer.finished_spans()}
 
@@ -279,7 +360,7 @@ class TestTracePropagation:
         assert all(ks.trace_id == run.trace_id for ks in keystreams)
 
     def test_keystream_spans_carry_modeled_cycles(self):
-        run_pipeline()
+        run_camera()
         for ks in get_tracer().spans_named("pasta.keystream"):
             attrs = ks.attributes
             assert attrs["variant"] == PASTA_TOY.name
@@ -291,7 +372,7 @@ class TestTracePropagation:
             assert attrs["modeled_cycles_per_block"] > 0
 
     def test_recover_spans_join_producer_trace_across_threads(self):
-        run_pipeline()
+        run_camera()
         tracer = get_tracer()
         (run,) = tracer.spans_named("service.run")
         encrypt_ids = {s.span_id for s in tracer.spans_named("service.encrypt")}
@@ -312,13 +393,13 @@ class TestTracePropagation:
 class TestConfigValidation:
     def test_bad_mode(self):
         with pytest.raises(ParameterError):
-            ServiceConfig(mode="quantum")
+            camera_service(mode="quantum")
 
     def test_bad_counts(self):
         with pytest.raises(ParameterError):
-            ServiceConfig(n_workers=0)
+            camera_service(n_workers=0)
         with pytest.raises(ParameterError):
-            ServiceConfig(queue_capacity=0)
+            camera_service(queue_capacity=0)
 
 
 class TestBackoffJitter:
@@ -334,7 +415,7 @@ class TestBackoffJitter:
     def _pipeline(self, **overrides):
         defaults = dict(n_frames=4, backoff_base_seconds=0.004, backoff_max_seconds=0.04)
         defaults.update(overrides)
-        return StreamingPipeline(ServiceConfig(**defaults))
+        return camera_service(**defaults)
 
     def test_co_dropped_frames_get_distinct_ready_times(self):
         # Frames dropped in the same batch share the attempt number; the
@@ -378,13 +459,12 @@ class TestBackoffJitter:
 
     def test_invalid_jitter_rejected(self):
         with pytest.raises(ParameterError):
-            ServiceConfig(backoff_jitter=1.5)
+            camera_service(backoff_jitter=1.5)
         with pytest.raises(ParameterError):
-            ServiceConfig(backoff_jitter=-0.1)
+            camera_service(backoff_jitter=-0.1)
 
     def test_faulted_run_still_bit_exact_with_jitter(self):
         plan = FaultPlan(seed=9, drop_rate=0.2)
-        result = run_pipeline(plan, n_frames=16)
-        assert len(result.frames) == 16
-        for frame in result.frames:
-            assert frame.pixels == expected_pixels(frame)
+        service, result = run_camera(plan, n_frames=16)
+        assert result.frames_recovered == 16
+        assert_bit_exact(service)

@@ -178,6 +178,14 @@ class TestAdmissionControl:
         assert ctl.try_admit()
         assert ctl.active == 2
 
+    def test_repolling_counts_each_waiting_session_once(self):
+        ctl = AdmissionController(1)
+        assert ctl.try_admit(waiting=3)
+        assert not ctl.try_admit(waiting=2)  # two sessions start waiting
+        assert not ctl.try_admit(waiting=0)  # the same two, polled again
+        assert ctl.deferred == 2
+        assert ctl.obs.counter("service.admission.deferred").value == 2
+
     def test_release_without_admit_raises(self):
         ctl = AdmissionController(1)
         with pytest.raises(ServiceError):
@@ -191,7 +199,9 @@ class TestAdmissionControl:
         service, result = run_service(tenants, max_active_sessions=3)
         assert result.sessions_completed == 12
         assert result.frames_lost == 0
-        assert result.admission_deferred > 0
+        # 12 sessions offered against 3 slots: the other 9 each wait, and
+        # each counts once however often the producer polls admission.
+        assert result.admission_deferred == 9
         assert service.admission.active == 0  # every admit was released
 
 
