@@ -262,11 +262,7 @@ def synthetic_frames_batch(resolution: Resolution, seeds: Sequence[int]) -> np.n
         [b"frame|" + int(seed).to_bytes(8, "big") + suffix for seed in seeds]
     )
     n_blocks = -(-resolution.pixels // SHAKE128_RATE_BYTES)
-    chunks = [
-        shake.squeeze_words_block().view(np.uint8).reshape(len(seeds), -1)
-        for _ in range(n_blocks)
-    ]
-    return np.concatenate(chunks, axis=1)[:, : resolution.pixels]
+    return shake.squeeze_words(n_blocks).view(np.uint8)[:, : resolution.pixels]
 
 
 @dataclass

@@ -1,161 +1,96 @@
-"""Batch-vectorized Keccak-f[1600]: N sponge states permuted at once.
+"""Batched SHAKE: N independent XOF lanes squeezed block by block in lockstep.
 
-The scalar permutation (:mod:`repro.keccak.permutation`) walks 25 Python
-integers through theta/rho/pi/chi/iota one lane at a time — fine for one
-block, hopeless for a keystream server. This module holds the *same*
-permutation expressed over a ``(N, 25)`` ``uint64`` numpy array: every
-xor, rotation, and chi-step broadcasts across the batch axis, so one pass
-through the 24 rounds advances N independent sponges. This is the software
-analogue of the paper's hardware overlap — the accelerator hides XOF
-latency behind MatMul; we hide Python interpreter overhead behind numpy's
-SIMD loops (paper Sec. IV-B; same trick Presto/DNA-HHE use for HHE-cipher
-throughput on CPUs).
+The batched keystream engine (:mod:`repro.pasta.batch`) needs one SHAKE128
+word stream per block it derives. :class:`BatchedShake` keeps one
+``hashlib`` SHAKE object per lane and serves a bulk squeeze of ``b`` rate
+blocks as one ``(N, b * rate_words)`` ``uint64`` matrix: each lane asks
+hashlib for a longer prefix of its output (``digest(n)`` is
+prefix-consistent) and keeps the new part, and the bytes of all lanes are
+decoded with one ``np.frombuffer``. Row ``n`` is exactly
+``shake128(seeds[n]).words()``; the lanes only share *when* they are
+squeezed, never what each one reads. This is the software analogue of the
+paper's XOF unit feeding rejection sampling (Sec. IV-B): the permutation
+runs in hashlib's C code, and the batch axis is what the sampler and the
+affine layers vectorize over.
 
-Bit-exactness is non-negotiable: ``keccak_f1600_batch`` must agree with
-:func:`repro.keccak.permutation.keccak_f1600` lane-for-lane (hypothesis
-tests cross-check both against ``hashlib``'s SHAKE implementations).
-
-Lane layout matches FIPS 202: index ``x + 5*y`` along the last axis, so a
-``(N, 25)`` array reshaped to ``(N, 5, 5)`` is indexed ``[lane, y, x]``.
+:attr:`BatchedShake.permutation_count` is the sponge's count per lane: the
+seeds fit in one rate block, so the absorb permutation exposes the first
+block and every later block costs one more. The numpy lockstep sponge in
+``tests/keccak_batch_reference.py`` pins both, byte for byte and
+permutation for permutation.
 """
 
 from __future__ import annotations
 
-from typing import List, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from repro.keccak.permutation import KECCAK_ROUNDS, RHO_OFFSETS, ROUND_CONSTANTS
+from repro.keccak.shake import _HASHLIB_SHAKE, SHAKE128_RATE_BYTES, SHAKE256_RATE_BYTES
 
 __all__ = [
-    "keccak_f1600_batch",
     "BatchedShake",
     "batched_shake128",
 ]
-
-_RC = np.array(ROUND_CONSTANTS, dtype=np.uint64)
-
-# rho+pi as one gather: target lane i takes source lane _PI_SRC[i] rotated
-# left by _PI_ROT[i].  b[y + 5*((2x+3y)%5)] = rotl(a[x+5y], rho[x+5y]).
-_PI_SRC = np.zeros(25, dtype=np.intp)
-_PI_ROT = np.zeros(25, dtype=np.uint64)
-for _x in range(5):
-    for _y in range(5):
-        _src = _x + 5 * _y
-        _dst = _y + 5 * ((2 * _x + 3 * _y) % 5)
-        _PI_SRC[_dst] = _src
-        _PI_ROT[_dst] = RHO_OFFSETS[_src]
-# Complementary right-shift counts; (64 - r) % 64 keeps the r = 0 lane legal
-# (shifting a uint64 by 64 is undefined in the underlying C loop).
-_PI_ROT_C = (np.uint64(64) - _PI_ROT) % np.uint64(64)
-
-_ONE = np.uint64(1)
-_SIXTY_THREE = np.uint64(63)
-
-# Cyclic x-index gathers (cheaper than np.roll's Python-side dispatch).
-_X_M1 = np.array([(x - 1) % 5 for x in range(5)], dtype=np.intp)
-_X_P1 = np.array([(x + 1) % 5 for x in range(5)], dtype=np.intp)
-_X_P2 = np.array([(x + 2) % 5 for x in range(5)], dtype=np.intp)
-
-
-def _rotl_batch(lanes: np.ndarray, left: np.ndarray, right: np.ndarray) -> np.ndarray:
-    """Per-lane rotate-left with precomputed (left, right) shift counts."""
-    return (lanes << left) | (lanes >> right)
-
-
-def keccak_f1600_batch(states: np.ndarray) -> np.ndarray:
-    """Apply Keccak-f[1600] to every row of a ``(N, 25)`` uint64 array.
-
-    Returns a new array; the input is not modified. Row ``n`` of the result
-    equals ``keccak_f1600(states[n])`` exactly.
-    """
-    s = np.asarray(states, dtype=np.uint64)
-    if s.ndim != 2 or s.shape[1] != 25:
-        raise ValueError(f"batched Keccak state must have shape (N, 25), got {s.shape}")
-    s = s.copy()
-    n = s.shape[0]
-    grid = s.reshape(n, 5, 5)  # [lane, y, x]
-    for rc in _RC:
-        # theta: column parities, broadcast back over y.
-        c = grid[:, 0] ^ grid[:, 1] ^ grid[:, 2] ^ grid[:, 3] ^ grid[:, 4]  # (N, 5) by x
-        d = c[:, _X_M1] ^ _rotl_batch(c[:, _X_P1], _ONE, _SIXTY_THREE)
-        grid ^= d[:, None, :]
-        # rho + pi: one gather + per-lane rotation.
-        b = _rotl_batch(s[:, _PI_SRC], _PI_ROT, _PI_ROT_C)
-        # chi: row-wise nonlinear step along x.
-        bg = b.reshape(n, 5, 5)
-        s = (bg ^ (~bg[:, :, _X_P1] & bg[:, :, _X_P2])).reshape(n, 25)
-        # iota
-        s[:, 0] ^= rc
-        grid = s.reshape(n, 5, 5)
-    return s
 
 
 class BatchedShake:
     """N independent SHAKE XOF streams squeezed in lockstep.
 
-    Each row is seeded with its own message; all messages must fit in a
-    single rate block (true for every PASTA per-block seed, which is 43
-    bytes against SHAKE128's 168-byte rate). The squeeze schedule per row
-    is identical to the scalar :class:`repro.keccak.shake.Shake`, so row
-    ``n``'s word stream is bit-exact with ``shake128(seeds[n]).words()``.
+    Each row is seeded with its own message, which must fit in a single
+    rate block (true for every PASTA per-block seed, which is 43 bytes
+    against SHAKE128's 168-byte rate). Row ``n``'s word stream is bit-exact
+    with ``Shake(rate_bytes, seeds[n]).words()``.
 
     Parameters
     ----------
     rate_bytes:
-        Sponge rate (168 for SHAKE128).
+        Sponge rate: 168 for SHAKE128, 136 for SHAKE256.
     seeds:
         One short byte string per batch row.
     """
 
     def __init__(self, rate_bytes: int, seeds: Sequence[bytes]):
-        if not 0 < rate_bytes < 200 or rate_bytes % 8 != 0:
-            raise ValueError(f"rate must be a positive multiple of 8 below 200, got {rate_bytes}")
+        if rate_bytes not in _HASHLIB_SHAKE:
+            raise ValueError(
+                f"SHAKE rate must be {SHAKE128_RATE_BYTES} or {SHAKE256_RATE_BYTES} "
+                f"bytes, got {rate_bytes}"
+            )
         if not seeds:
             raise ValueError("at least one seed is required")
-        self.rate_bytes = rate_bytes
-        self.rate_words = rate_bytes // 8
-        self.n = len(seeds)
-        blocks = np.zeros((self.n, 200), dtype=np.uint8)
         for i, seed in enumerate(seeds):
             if len(seed) >= rate_bytes:
                 raise ValueError(
                     f"seed {i} has {len(seed)} bytes; single-block absorb requires"
                     f" < {rate_bytes}"
                 )
-            blocks[i, : len(seed)] = np.frombuffer(seed, dtype=np.uint8)
-            blocks[i, len(seed)] = 0x1F  # SHAKE domain suffix + pad10*1 start
-            blocks[i, rate_bytes - 1] ^= 0x80  # pad10*1 end
-        # Absorb = xor into the all-zero state, then one permutation.
-        self._state = keccak_f1600_batch(blocks.view("<u8").reshape(self.n, 25))
-        self.permutation_count = 1
-        self._emitted_blocks = 1
+        self.rate_bytes = rate_bytes
+        self.rate_words = rate_bytes // 8
+        self.n = len(seeds)
+        new = _HASHLIB_SHAKE[rate_bytes]
+        self._lanes = [new(seed) for seed in seeds]
+        self._emitted_blocks = 0
 
-    def squeeze_words_block(self) -> np.ndarray:
-        """Return the next ``(N, rate_words)`` matrix of 64-bit output words.
+    @property
+    def permutation_count(self) -> int:
+        """Keccak-f permutations each lane's sponge has performed so far."""
+        return max(1, self._emitted_blocks)
 
-        The first call returns the words exposed by the absorb permutation;
-        each later call costs exactly one more batched permutation — the
-        same cadence as the scalar sponge (21 words per permutation at the
-        SHAKE128 rate).
+    def squeeze_words(self, blocks: int) -> np.ndarray:
+        """Return the next ``(N, blocks * rate_words)`` 64-bit output words.
+
+        ``squeeze_words(a)`` then ``squeeze_words(b)`` returns the same
+        words as ``squeeze_words(a + b)``. The result is read-only.
         """
-        if self._emitted_blocks > self.permutation_count:
-            self._state = keccak_f1600_batch(self._state)
-            self.permutation_count += 1
-        self._emitted_blocks += 1
-        return self._state[:, : self.rate_words].copy()
+        if blocks < 0:
+            raise ValueError(f"cannot squeeze a negative number of blocks ({blocks})")
+        start = self._emitted_blocks * self.rate_bytes
+        end = start + blocks * self.rate_bytes
+        raw = b"".join([memoryview(lane.digest(end))[start:] for lane in self._lanes])
+        self._emitted_blocks += blocks
+        return np.frombuffer(raw, dtype="<u8").reshape(self.n, blocks * self.rate_words)
 
 
 def batched_shake128(seeds: Sequence[bytes]) -> BatchedShake:
     """SHAKE128 lockstep batch (rate 1344 bits — PASTA's XOF)."""
-    from repro.keccak.shake import SHAKE128_RATE_BYTES
-
     return BatchedShake(SHAKE128_RATE_BYTES, seeds)
-
-
-def keccak_f1600_many(states: Sequence[Sequence[int]]) -> List[List[int]]:
-    """Convenience wrapper: batch-permute plain Python lane lists."""
-    arr = np.array(
-        [[lane & 0xFFFFFFFFFFFFFFFF for lane in state] for state in states], dtype=np.uint64
-    )
-    return [[int(lane) for lane in row] for row in keccak_f1600_batch(arr)]

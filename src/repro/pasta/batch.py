@@ -8,12 +8,15 @@ and the video benchmark sit behind it. This engine converts the whole
 pipeline to data-parallel execution, mirroring how the paper's hardware
 overlaps XOF squeezing, rejection sampling, and MatMul across blocks:
 
-* **XOF**: N sponge states advance in lockstep through the vectorized
-  Keccak-f[1600] (:mod:`repro.keccak.vectorized`) — one ``(N, 25)``
-  permutation replaces N scalar ones.
-* **Sampling**: whole ``(N, W)`` word matrices are masked and filtered at
-  once (paper Sec. IV-B), and the variable-length take of accepted words
-  runs across *all* lanes in one cumulative-count pass — no Python loop
+* **XOF**: every lane is one ``hashlib`` SHAKE128 stream
+  (:class:`repro.keccak.vectorized.BatchedShake`), squeezed in bulk into
+  one ``(N, W)`` word matrix sized up front to cover almost every lane's
+  demand, so the permutations run in C and a lane rarely needs a second
+  squeeze.
+* **Sampling**: each word matrix is masked and filtered once per fill
+  (paper Sec. IV-B), listing the accepted words under both accept rules;
+  a draw then finds each lane's first accepted word past its pointer with
+  one ``searchsorted`` and gathers the next ``count`` — no Python loop
   over lanes anywhere on the sampling path.
 * **MatGen / MatMul**: the sequential-matrix recurrence and the affine
   layers run across the batch axis (``einsum`` with overflow-safe
@@ -31,6 +34,7 @@ asserts equality block-for-block and the benchmark records the speedup
 
 from __future__ import annotations
 
+import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
@@ -63,63 +67,80 @@ DEFAULT_CACHE_BLOCKS = 64
 
 
 class _BatchWordStream:
-    """Lockstep XOF word buffers with per-lane consumption pointers.
+    """Per-lane XOF word buffers, indexed by accept rule, with consumption pointers.
 
     Lane ``n`` sees exactly the word stream ``shake128(seed_n).words()``
-    would produce; the batch only changes *when* permutations happen, never
-    what each lane reads.
+    would produce; the batch only changes *when* words are squeezed, never
+    what each lane reads. Each buffer fill masks the words once and lists
+    the accepted ones under both of PASTA's accept rules (``min_value`` 0
+    and 1), so a draw only has to find each lane's first accepted word past
+    its pointer and take the next ``count``.
     """
 
-    def __init__(self, seeds: Sequence[bytes]):
+    def __init__(self, seeds: Sequence[bytes], sampler, words: float):
         self._shake = batched_shake128(seeds)
         self.n = len(seeds)
         self.rate_words = self._shake.rate_words
-        self._buf = np.empty((self.n, 0), dtype=np.uint64)
+        self.sampler = sampler
         self.pos = np.zeros(self.n, dtype=np.intp)
+        self._buf = np.empty((self.n, 0), dtype=np.uint64)
+        self.grow(max(1, math.ceil(words / self.rate_words)))
 
     @property
-    def capacity(self) -> int:
-        return self._buf.shape[1]
+    def blocks(self) -> int:
+        return self._buf.shape[1] // self.rate_words
 
-    def grow(self, blocks: int = 1) -> None:
-        """Squeeze ``blocks`` more 21-word batches onto every lane."""
-        new = [self._shake.squeeze_words_block() for _ in range(blocks)]
-        self._buf = np.concatenate([self._buf, *new], axis=1)
+    def grow(self, blocks: int) -> None:
+        """Squeeze ``blocks`` more rate blocks onto every lane and re-index."""
+        self._buf = np.concatenate([self._buf, self._shake.squeeze_words(blocks)], axis=1)
+        width = self._buf.shape[1]
+        #: Flat index of each lane's first word; accepted words are listed by
+        #: flat index (lane * width + word), so they come lane-grouped and in
+        #: stream order within a lane.
+        self._row_start = np.arange(self.n, dtype=np.intp) * width
+        self._accepted = {}
+        for min_value in (0, 1):
+            values, ok = self.sampler.candidates_batch(self._buf, min_value)
+            flat = np.flatnonzero(ok)
+            lane_end = np.searchsorted(flat, self._row_start + width)
+            self._accepted[min_value] = (flat, values.ravel()[flat], lane_end)
 
-    def words(self) -> np.ndarray:
-        """The full ``(N, W)`` buffer (consumed words included)."""
-        return self._buf
+    def draw(self, count: int, min_value: int) -> Tuple[np.ndarray, np.ndarray]:
+        """Draw ``count`` accepted candidates on *every* lane at once.
+
+        Returns ``(values, rejected)`` with shapes ``(N, count)`` and
+        ``(N,)``. The decisions are identical to running
+        ``RejectionSampler.sample`` on each lane's scalar word stream: a
+        lane's draw starts at its private consumption pointer and takes its
+        first ``count`` accepted words. No per-lane Python loop.
+        """
+        while True:
+            flat, values, lane_end = self._accepted[min_value]
+            first = np.searchsorted(flat, self._row_start + self.pos)
+            if int((lane_end - first).min()) >= count:
+                break
+            # Some lane is short on accepted words: squeeze more for every
+            # lane (lanes are in lockstep; extra words stay buffered).
+            self.grow(max(1, self.blocks // 4))
+        take = first[:, None] + np.arange(count)
+        ends = flat[take[:, -1]] - self._row_start + 1
+        rejected = ends - self.pos - count
+        self.pos = ends
+        return values[take], rejected
 
 
-def _sample_draw(
-    stream: _BatchWordStream, sampler, count: int, min_value: int
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Draw ``count`` accepted candidates on *every* lane at once.
+def _presqueeze_words(params: PastaParams) -> float:
+    """XOF words to squeeze per lane before sampling: enough for almost every lane.
 
-    Returns ``(values, rejected)`` with shapes ``(N, count)`` and ``(N,)``.
-    The decisions are identical to running ``RejectionSampler.sample`` on
-    each lane's scalar word stream: a lane's draw starts at its private
-    consumption pointer and takes its first ``count`` accepted words. The
-    take itself is one cumulative-count pass over the whole ``(N, W)``
-    buffer — no per-lane Python loop.
+    A block needs ``k`` accepted words at acceptance rate ``a``: ``k / a``
+    words on average, with standard deviation ``sqrt(k (1 - a)) / a``.
+    Four standard deviations past the mean leave a lane short with
+    probability about 3e-5, and a short lane only costs one
+    :meth:`_BatchWordStream.grow`.
     """
-    while True:
-        values, ok = sampler.candidates_batch(stream.words(), min_value)
-        # Mask out words each lane already consumed, then rank the rest.
-        avail = ok & (np.arange(stream.capacity)[None, :] >= stream.pos[:, None])
-        cum = np.cumsum(avail, axis=1)
-        if stream.capacity and int(cum[:, -1].min()) >= count:
-            break
-        # Some lane is short on accepted words — squeeze another batch for
-        # every lane (lanes are in lockstep; extra words stay buffered).
-        stream.grow()
-    take = avail & (cum <= count)
-    lane_idx, word_idx = np.nonzero(take)  # row-major: lane-grouped, ascending
-    out = values[lane_idx, word_idx].reshape(stream.n, count)
-    ends = word_idx.reshape(stream.n, count)[:, -1] + 1
-    rejected = ends - stream.pos - count
-    stream.pos = ends.astype(np.intp)
-    return out, rejected
+    k = params.coefficients_per_block
+    a = params.sampler.acceptance_probability
+    return (k + 4.0 * math.sqrt(k * (1.0 - a))) / a
 
 
 def _derive_layer_arrays(
@@ -133,23 +154,19 @@ def _derive_layer_arrays(
     rejection counts, and ``stream`` the word stream (its ``pos`` gives
     per-lane words consumed). No per-lane Python work happens here.
     """
-    sampler = params.sampler
     t = params.t
-    stream = _BatchWordStream([encode_block_seed(params, no, co) for no, co in pairs])
-    # Pre-squeeze roughly the expected demand in one go; the sampler grows
-    # the buffer on demand for unlucky lanes.
-    expected_words = params.coefficients_per_block * sampler.expected_words_per_element
-    stream.grow(max(1, int(np.ceil(expected_words * 1.05 / stream.rate_words))))
+    seeds = [encode_block_seed(params, no, co) for no, co in pairs]
+    stream = _BatchWordStream(seeds, params.sampler, _presqueeze_words(params))
 
     rejected = np.zeros(len(pairs), dtype=np.int64)
     layer_values: List[List[np.ndarray]] = []
     for _ in range(params.affine_layers):
-        vectors: List[np.ndarray] = []
-        for min_value in (1, 1, 0, 0):  # alpha_L, alpha_R, rc_L, rc_R
-            values, nrej = _sample_draw(stream, sampler, t, min_value)
-            rejected += nrej
-            vectors.append(values)
-        layer_values.append(vectors)
+        # alpha_L, alpha_R (nonzero), then rc_L, rc_R: two back-to-back
+        # draws under one accept rule take the words one draw of 2t takes.
+        alphas, alpha_rejected = stream.draw(2 * t, 1)
+        rcs, rc_rejected = stream.draw(2 * t, 0)
+        rejected += alpha_rejected + rc_rejected
+        layer_values.append([alphas[:, :t], alphas[:, t:], rcs[:, :t], rcs[:, t:]])
     return layer_values, rejected, stream
 
 
@@ -160,7 +177,7 @@ def generate_block_materials_pairs(
 
     The generalization of :func:`generate_block_materials_batch` that the
     streaming service leans on: lanes need not share a nonce, so one
-    vectorized Keccak/sampling pass can cover many in-flight *frames*, not
+    batched XOF/sampling pass can cover many in-flight *frames*, not
     just consecutive counters of one frame. Bit-exact with the scalar
     derivation (values, sampler statistics, and permutation counts
     included).
@@ -350,8 +367,13 @@ class KeystreamEngine:
             if fresh:
                 self.budget.charge(self.owner, 1.0)
 
-    def _entries_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[_CacheEntry]:
-        """Cached entries for every (nonce, counter) pair, batch-deriving misses."""
+    def _entries_pairs(
+        self, pairs: Sequence[Tuple[int, int]]
+    ) -> Tuple[List[_CacheEntry], List[BlockMaterials]]:
+        """Cached entries for every (nonce, counter) pair, batch-deriving misses.
+
+        Also returns the materials derived by this call (the misses).
+        """
         pairs = [(int(n), int(c)) for n, c in pairs]
         entries: Dict[Tuple[int, int], _CacheEntry] = {}
         missing: List[Tuple[int, int]] = []
@@ -366,16 +388,16 @@ class KeystreamEngine:
                     self._misses += 1
                     missing.append(key)
                     entries[key] = None  # type: ignore[assignment]
-        if missing:
-            for materials in generate_block_materials_pairs(self.params, missing):
-                entry = _CacheEntry(materials=materials)
-                entries[(materials.nonce, materials.counter)] = entry
-                self._insert(materials.nonce, materials.counter, entry)
-        return [entries[key] for key in pairs]
+        derived = generate_block_materials_pairs(self.params, missing)
+        for materials in derived:
+            entry = _CacheEntry(materials=materials)
+            entries[(materials.nonce, materials.counter)] = entry
+            self._insert(materials.nonce, materials.counter, entry)
+        return [entries[key] for key in pairs], derived
 
     def _entries(self, nonce: int, counters: Sequence[int]) -> List[_CacheEntry]:
         """Cached entries for every counter, batch-deriving the misses."""
-        return self._entries_pairs([(nonce, c) for c in counters])
+        return self._entries_pairs([(nonce, c) for c in counters])[0]
 
     # -- public API ----------------------------------------------------------
 
@@ -385,7 +407,7 @@ class KeystreamEngine:
 
     def materials_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[BlockMaterials]:
         """Block materials for arbitrary (nonce, counter) pairs (cache-backed)."""
-        return [e.materials for e in self._entries_pairs(pairs)]
+        return [e.materials for e in self._entries_pairs(pairs)[0]]
 
     def matrix(self, nonce: int, counter: int, layer: int, side: str) -> np.ndarray:
         """One materialized affine matrix, cached alongside its materials."""
@@ -442,6 +464,11 @@ class KeystreamEngine:
         pass covers blocks of *different* nonces (frames), so steady-state
         throughput amortizes the per-pass Keccak/sampling overhead over
         every frame currently in flight, not just one frame's blocks.
+
+        The ``pasta.keystream`` span records the call's XOF volume:
+        ``xof_words`` (words consumed, summed over the lanes derived in
+        this call; cache hits consume none) and ``xof_permutations``
+        (``ceil(words / 21)`` per lane, summed).
         """
         from repro.obs import get_registry, get_tracer
         from repro.obs.cycles import modeled_cycle_attributes
@@ -458,17 +485,21 @@ class KeystreamEngine:
             omega=params.modulus_bits,
             lanes=len(pairs),
             **modeled_cycle_attributes(params, len(pairs)),
-        ):
-            return self._keystream_pairs(key, pairs)
+        ) as span:
+            keystream, xof_words, xof_permutations = self._keystream_pairs(key, pairs)
+            span.set_attribute("xof_words", xof_words)
+            span.set_attribute("xof_permutations", xof_permutations)
+            return keystream
 
     def _keystream_pairs(
         self, key: np.ndarray, pairs: Sequence[Tuple[int, int]]
-    ) -> np.ndarray:
+    ) -> Tuple[np.ndarray, int, int]:
+        """Keystream rows, plus the XOF words and permutations spent on them."""
         params = self.params
         field = params.field
         n_blocks = len(pairs)
         if n_blocks <= 0:
-            return field.zeros(0, params.t)
+            return field.zeros(0, params.t), 0, 0
         if self.cache_size == 0 and field.dtype is np.int64:
             # Streaming fast path: a cache-less engine serves fresh
             # (nonce, counter) pairs that will never be asked for again, so
@@ -476,7 +507,7 @@ class KeystreamEngine:
             # stacked array-land from XOF words to keystream rows.
             with self._lock:
                 self._misses += n_blocks
-            layer_values, _, _ = _derive_layer_arrays(
+            layer_values, _, stream = _derive_layer_arrays(
                 params, [(int(no), int(co)) for no, co in pairs]
             )
             alphas = {}
@@ -486,14 +517,16 @@ class KeystreamEngine:
                 alphas[(layer, "r")] = ar.astype(np.int64)
                 rcs[(layer, "l")] = rl.astype(np.int64)
                 rcs[(layer, "r")] = rr.astype(np.int64)
-            return self._keystream_rounds(
+            keystream = self._keystream_rounds(
                 key,
                 n_blocks,
                 lambda layer, side: batched_sequential_matrices(params, alphas[(layer, side)]),
                 lambda layer, side: rcs[(layer, side)],
             )
-        entries = self._entries_pairs(pairs)
-        return self._keystream_rounds(
+            permutations = -(-stream.pos // stream.rate_words)
+            return keystream, int(stream.pos.sum()), int(permutations.sum())
+        entries, derived = self._entries_pairs(pairs)
+        keystream = self._keystream_rounds(
             key,
             n_blocks,
             lambda layer, side: self._stacked_matrices(entries, layer, side),
@@ -501,6 +534,8 @@ class KeystreamEngine:
                 [getattr(e.materials.layers[layer], f"rc_{side}") for e in entries]
             ),
         )
+        xof_words = sum(m.stats.accepted + m.stats.rejected for m in derived)
+        return keystream, xof_words, sum(m.permutations for m in derived)
 
     def _keystream_rounds(self, key, n_blocks: int, mats_of, rc_of) -> np.ndarray:
         """The PASTA round schedule over stacked per-block state rows.

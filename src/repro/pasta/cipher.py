@@ -139,7 +139,7 @@ class Pasta:
         """Keystream for ``n_blocks`` consecutive counters as an ``(n, t)`` array.
 
         Runs on the batched engine (:mod:`repro.pasta.batch`): one
-        vectorized Keccak/sampling/MatMul pass for the whole batch, backed
+        batched XOF/sampling/MatMul pass for the whole batch, backed
         by the shared per-``(nonce, counter)`` materials cache. Bit-exact
         with calling :meth:`keystream_block` per counter.
         """

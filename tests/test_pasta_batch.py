@@ -213,6 +213,54 @@ class TestKeystreamEngine:
             assert [int(x) for x in ks[i]] == [int(x) for x in expected]
 
 
+class TestWordStreamGrowth:
+    """A lane the pre-squeeze leaves short grows the buffer; nothing else moves."""
+
+    @pytest.mark.parametrize("params", [PASTA_TOY, PASTA_4])
+    def test_grow_path_matches_full_demand_presqueeze(self, params, monkeypatch):
+        from repro.pasta import batch
+
+        pairs = [(3, c) for c in range(5)] + [(9, 0), (9, 7)]
+        demand = batch._presqueeze_words(params)
+        monkeypatch.setattr(batch, "_presqueeze_words", lambda _params: 10 * demand)
+        full_values, full_rejected, full_stream = batch._derive_layer_arrays(params, pairs)
+        monkeypatch.setattr(batch, "_presqueeze_words", lambda _params: 1)
+        grown_values, grown_rejected, grown_stream = batch._derive_layer_arrays(params, pairs)
+
+        assert grown_stream.blocks > 1  # started at one block, so it grew
+        assert full_stream.blocks == -(-10 * demand // full_stream.rate_words)  # never grew
+        for full_layer, grown_layer in zip(full_values, grown_values):
+            for full, grown in zip(full_layer, grown_layer):
+                assert np.array_equal(full, grown)
+        assert np.array_equal(full_rejected, grown_rejected)
+        assert np.array_equal(full_stream.pos, grown_stream.pos)
+        for lane, (nonce, counter) in enumerate(pairs):
+            scalar = generate_block_materials(params, nonce, counter)
+            assert int(grown_rejected[lane]) == scalar.stats.rejected
+
+
+class TestKeystreamTelemetry:
+    @pytest.mark.parametrize("cache_size", [0, 8])
+    def test_span_reports_xof_volume(self, cache_size):
+        from repro.obs import get_tracer
+
+        key = random_key(PASTA_TOY)
+        pairs = [(2, 0), (2, 1), (5, 3), (6, 0)]
+        engine = KeystreamEngine(PASTA_TOY, cache_size=cache_size)
+        engine.keystream_pairs(key, pairs)
+        engine.keystream_pairs(key, pairs)
+        cold, second = get_tracer().spans_named("pasta.keystream")
+
+        materials = [generate_block_materials(PASTA_TOY, n, c) for n, c in pairs]
+        words = sum(m.stats.accepted + m.stats.rejected for m in materials)
+        assert cold.attributes["xof_words"] == words
+        assert cold.attributes["xof_permutations"] == sum(m.permutations for m in materials)
+        # A warm cache serves the second call without touching the XOF.
+        expected_second = (0, 0) if cache_size else (words, cold.attributes["xof_permutations"])
+        got_second = (second.attributes["xof_words"], second.attributes["xof_permutations"])
+        assert got_second == expected_second
+
+
 class TestConcurrentAccess:
     """The shared engine is hit from service worker threads concurrently.
 
