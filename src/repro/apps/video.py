@@ -147,7 +147,7 @@ def transcipher_blocks_per_frame(
     With BFV slot batching the server evaluates one decryption circuit per
     ``N`` blocks (slots), so dividing this by the ring degree gives circuit
     evaluations per frame; the per-block wall-clock comes from the RNS
-    engine throughput benchmark (benchmarks/test_transcipher_throughput.py).
+    engine throughput benchmark (benchmarks/test_engine_throughput.py).
     """
     per_element = pixels_per_element(params.p)
     elements = -(-resolution.pixels // per_element)

@@ -112,7 +112,7 @@ def generate(**_kwargs) -> ExperimentResult:
         f"PASTA-4 blocks ({transcipher_blocks_per_frame(QQVGA, PASTA_4)} for QQVGA) to "
         "transcipher; with BFV slot batching one circuit evaluation covers N blocks, "
         "and the RNS polynomial engine's per-block rate is measured in "
-        "benchmarks/test_transcipher_throughput.py.",
+        "benchmarks/test_engine_throughput.py.",
     ]
     return ExperimentResult(
         experiment_id="Fig. 8",

@@ -96,7 +96,7 @@ def generate(run_transcipher: bool = True, **_kwargs) -> ExperimentResult:
             f"Polynomial engines agree bit-exactly; RNS/CRT evaluation took "
             f"{timings['rns']:.2f}s vs {timings['bigint']:.2f}s scalar big-int "
             f"({timings['bigint'] / timings['rns']:.1f}x) — see "
-            "benchmarks/test_transcipher_throughput.py for the full-size numbers."
+            "benchmarks/test_engine_throughput.py for the full-size numbers."
         )
 
     return ExperimentResult(

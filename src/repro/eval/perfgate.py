@@ -61,17 +61,12 @@ GATED_METRICS: Dict[str, Tuple[Tuple[str, str], ...]] = {
         ("speedup", "higher"),
         ("faulted.fps", "higher"),
     ),
-    "BENCH_hom_affine.json": (
-        ("engines.tensor.blocks_per_s", "higher"),
-        ("speedup", "higher"),
-    ),
-    "BENCH_bsgs_affine.json": (
-        ("engines.bsgs.blocks_per_s", "higher"),
-        ("speedup_vs_tensor", "higher"),
-    ),
-    "BENCH_hoisted_bsgs.json": (
-        ("engines.bsgs_hoisted.blocks_per_s", "higher"),
-        ("speedup_vs_unhoisted", "higher"),
+    "BENCH_engine_throughput.json": (
+        ("evaluators.tensor_t64.blocks_per_s", "higher"),
+        ("evaluators.bsgs_hoisted.blocks_per_s", "higher"),
+        ("ratios.tensor_over_scalar.value", "higher"),
+        ("ratios.bsgs_over_tensor.value", "higher"),
+        ("ratios.hoisted_over_unhoisted.value", "higher"),
     ),
     "BENCH_obs_overhead.json": (
         ("overhead_pct", "floor:overhead_floor_pct"),
@@ -246,7 +241,7 @@ def compare_dirs(current_dir: Path, baseline_dir: Path) -> List[MetricDelta]:
 def render_table(deltas: Sequence[MetricDelta], tolerance: float) -> str:
     """The per-benchmark delta table the CI log shows."""
     header = (
-        f"{'benchmark':<36} {'metric':<28} {'baseline':>12} {'current':>12} "
+        f"{'benchmark':<36} {'metric':<36} {'baseline':>12} {'current':>12} "
         f"{'change':>9}  verdict"
     )
     lines = [header, "-" * len(header)]
@@ -271,7 +266,7 @@ def render_table(deltas: Sequence[MetricDelta], tolerance: float) -> str:
             else:
                 verdict = "ok"
         lines.append(
-            f"{d.bench:<36} {d.metric:<28} {baseline:>12} {current:>12} {change:>9}  {verdict}"
+            f"{d.bench:<36} {d.metric:<36} {baseline:>12} {current:>12} {change:>9}  {verdict}"
         )
     return "\n".join(lines)
 

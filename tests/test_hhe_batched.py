@@ -9,7 +9,7 @@ from repro.ff.params import P33
 from repro.fhe import Bfv, toy_parameters
 from repro.fhe.batching import BatchEncoder
 from repro.hhe import BatchedHheServer, decrypt_batched_result, encrypt_key_batched
-from repro.pasta import PASTA_MICRO, Pasta, PastaParams, random_key
+from repro.pasta import PASTA_MICRO, Pasta, PastaParams, homomorphic_op_counts, random_key
 
 P = PASTA_MICRO.p
 
@@ -174,6 +174,57 @@ def _ciphertext_ints(scheme, result):
     return [
         [scheme.engine.to_ints(part) for part in ct.parts] for ct in result.ciphertexts
     ]
+
+
+def test_op_count_formulas_match_real_run():
+    """The closed-form op counts must match instrumented runs of both engines."""
+    params = toy_parameters(PASTA_MICRO.p, n=256, log2_q=190)
+    scheme = Bfv(params, seed=b"counts")
+    sk, pk, rlk = scheme.keygen()
+    encoder = BatchEncoder(params.n, PASTA_MICRO.p)
+    key = random_key(PASTA_MICRO, seed=b"counts")
+    enc_key = encrypt_key_batched(scheme, pk, encoder, key)
+    cipher = Pasta(PASTA_MICRO, key)
+    blocks = [
+        [int(c) for c in cipher.encrypt_block(m, nonce=1, counter=i)]
+        for i, m in enumerate([[7, 9], [3, 4]])
+    ]
+    expected = homomorphic_op_counts(PASTA_MICRO)
+    for engine in ("scalar", "tensor"):
+        server = BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, engine=engine)
+        result = server.transcipher_blocks(blocks, nonce=1, counters=[0, 1])
+        measured = {k: getattr(result.ops, k) for k in expected}
+        assert measured == expected, (engine, measured, expected)
+
+
+def test_micro_transcipher_bit_exact_across_engines():
+    """RNS (tensor) and big-int (scalar) transcipher identical plaintexts."""
+    params = toy_parameters(PASTA_MICRO.p, n=256, log2_q=190)
+    key = random_key(PASTA_MICRO, seed=b"parity")
+    cipher = Pasta(PASTA_MICRO, key)
+    message = [[101, 2024], [55, 66]]
+    blocks = [
+        [int(x) for x in cipher.encrypt_block(m, nonce=9, counter=c)]
+        for c, m in enumerate(message)
+    ]
+
+    budgets = {}
+    for engine in ("rns", "bigint"):
+        scheme = Bfv(params, seed=b"parity", engine=engine)
+        sk, pk, rlk = scheme.keygen()
+        encoder = BatchEncoder(params.n, PASTA_MICRO.p)
+        # engine="auto": the RNS scheme evaluates on the tensor path, the
+        # big-int scheme on the scalar path — parity across all of it.
+        server = BatchedHheServer(
+            PASTA_MICRO, scheme, rlk, encoder, encrypt_key_batched(scheme, pk, encoder, key)
+        )
+        result = server.transcipher_blocks(blocks, nonce=9, counters=[0, 1])
+        assert decrypt_batched_result(scheme, sk, encoder, result) == message
+        budgets[engine] = min(
+            scheme.noise_budget_bits(sk, ct) for ct in result.ciphertexts
+        )
+    # Bit-exact engines leave identical noise — well within the 1-bit pin.
+    assert budgets["rns"] == budgets["bigint"]
 
 
 class TestTensorScalarParity:

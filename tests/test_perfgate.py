@@ -19,6 +19,14 @@ def write_bench(directory, name, payload):
     (directory / name).write_text(json.dumps(payload))
 
 
+def engine_report(tensor_fps):
+    """A minimal BENCH_engine_throughput.json: tensor_t64 blocks/s, 8x ratio."""
+    return {
+        "evaluators": {"tensor_t64": {"blocks_per_s": tensor_fps}},
+        "ratios": {"tensor_over_scalar": {"value": 8.0}},
+    }
+
+
 class TestMetricDelta:
     def test_higher_direction_drop_is_regression(self):
         d = MetricDelta("b", "fps", "higher", baseline=100.0, current=70.0)
@@ -104,11 +112,11 @@ class TestInvalidMetrics:
 
     def test_main_exits_one_on_nan(self, tmp_path, capsys):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_engine_throughput.json", engine_report(100.0))
         (current / "x").parent.mkdir(parents=True, exist_ok=True)
-        (current / "BENCH_hom_affine.json").write_text(
-            '{"engines": {"tensor": {"blocks_per_s": NaN}}, "speedup": 8.0}'
+        (current / "BENCH_engine_throughput.json").write_text(
+            '{"evaluators": {"tensor_t64": {"blocks_per_s": NaN}}, '
+            '"ratios": {"tensor_over_scalar": {"value": 8.0}}}'
         )
         rc = main(["--current", str(current), "--baseline", str(baseline)])
         assert rc == 1
@@ -160,8 +168,7 @@ class TestMissingCurrentReport:
     def test_main_exits_one_when_current_report_vanishes(self, tmp_path, capsys):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
         current.mkdir()
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_engine_throughput.json", engine_report(100.0))
         rc = main(["--current", str(current), "--baseline", str(baseline)])
         assert rc == 1
         assert "regressed" in capsys.readouterr().err
@@ -221,6 +228,14 @@ class TestCompareDirs:
         for bench in GATED_METRICS:
             assert (baseline_dir / bench).is_file(), f"missing baseline for {bench}"
 
+    def test_every_committed_baseline_is_gated(self):
+        # An ungated baseline is an orphan: its bench was renamed or folded.
+        from pathlib import Path
+
+        baseline_dir = Path(__file__).parent.parent / "benchmarks" / "baselines"
+        orphans = {path.name for path in baseline_dir.glob("*.json")} - set(GATED_METRICS)
+        assert not orphans, f"baselines no gate reads: {sorted(orphans)}"
+
 
 class TestRenderTable:
     def test_table_shows_verdict_per_metric(self):
@@ -249,10 +264,8 @@ class TestRenderTable:
 class TestMain:
     def _dirs(self, tmp_path, current_fps):
         current, baseline = tmp_path / "current", tmp_path / "baseline"
-        write_bench(baseline, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": 100.0}}, "speedup": 8.0})
-        write_bench(current, "BENCH_hom_affine.json",
-                    {"engines": {"tensor": {"blocks_per_s": current_fps}}, "speedup": 8.0})
+        write_bench(baseline, "BENCH_engine_throughput.json", engine_report(100.0))
+        write_bench(current, "BENCH_engine_throughput.json", engine_report(current_fps))
         return current, baseline
 
     def test_exit_zero_when_within_tolerance(self, tmp_path, capsys):
