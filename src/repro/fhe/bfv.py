@@ -295,7 +295,15 @@ class Bfv:
         return self.decrypt_poly(sk, ct)[0]
 
     def noise_budget_bits(self, sk: SecretKey, ct: Ciphertext) -> float:
-        """Remaining noise budget: log2(q / (2 |v|_inf)); <= 0 means corrupted."""
+        """Remaining noise budget: log2(q / (2 |v|_inf)).
+
+        The noise ``v`` is measured against the *rounded* plaintext, so
+        ``|v| <= Delta / 2`` by construction and the reading never falls
+        below about log2(q / Delta) ~= log2 p (16 bits at p = 65537): a
+        corrupted ciphertext reads as that floor, not as <= 0. Item 1 of
+        ROADMAP.md (noise accounting) tracks measuring invariant noise
+        instead, so that overflow reads <= 0.
+        """
         from math import log2
 
         params = self.params

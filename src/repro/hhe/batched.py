@@ -43,7 +43,7 @@ counts:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -58,7 +58,8 @@ from repro.fhe.galois import (
     slots_to_logical,
 )
 from repro.hhe.backend import BfvOpCounts, SlotBackend
-from repro.pasta.batch import get_engine
+from repro.pasta.batch import batched_sequential_matrices, block_pairs, get_engine
+from repro.pasta.cipher import BlockMaterials
 from repro.pasta.decrypt_circuit import (
     PACKED_SIDES,
     CircuitLayout,
@@ -82,12 +83,14 @@ DEFAULT_PREPARED_ROWS = 4096
 class BatchedTranscipherResult:
     """t ciphertexts whose slots hold the B transciphered blocks.
 
-    Under the packed BSGS engine there is a single ciphertext instead and
+    Block b was encrypted under ``(nonces[b], counters[b])``. Under the
+    packed BSGS engine there is a single ciphertext instead and
     ``group_size`` is set: message element j of block b sits at logical
     slot ``j * group_size + b`` (generator slot order, row 0).
     """
 
     ciphertexts: List[Ciphertext]
+    nonces: List[int]
     counters: List[int]
     ops: BfvOpCounts
     group_size: Optional[int] = None
@@ -178,17 +181,16 @@ class BatchedHheServer:
         #: ("scalar" | "tensor" | "bsgs"). Named ``eval_engine`` because
         #: ``engine`` is the keystream engine below.
         self.eval_engine = engine
-        #: Shared batched keystream engine: materials and matrices for the
-        #: public (nonce, counter) schedule come from its LRU, so serving
-        #: the same stream twice never re-derives them.
+        #: Shared batched keystream engine: each call derives its blocks'
+        #: materials from it once, in one batched ``materials`` pass.
         self.engine = get_engine(params)
 
-        # Prepared-plaintext caches keyed by the public schedule (nonce,
-        # counters, layer, side[, row, col]): re-serving a schedule skips the
-        # slot encode and, under the RNS engine, the forward NTT of every
-        # matrix/round-constant plaintext. Each layout fills its own kinds.
-        # Entries are costed in slot rows (one encoded polynomial = one row)
-        # against ONE shared CacheBudget — per server by default,
+        # Prepared-plaintext caches keyed by the public schedule ((nonce,
+        # counter) pairs, layer, side[, row, col]): re-serving a schedule
+        # skips the slot encode and, under the RNS engine, the forward NTT
+        # of every matrix/round-constant plaintext. Each layout fills its
+        # own kinds. Entries are costed in slot rows (one encoded
+        # polynomial = one row) against ONE shared CacheBudget — per server by default,
         # process-global when the multi-tenant front end passes its budget
         # in — with eviction pressure on whichever tenant holds the most
         # rows, so a hot tenant cannot push a cold one below its fair share.
@@ -291,24 +293,27 @@ class BatchedHheServer:
     def transcipher_blocks(
         self,
         ciphertext_blocks: Sequence[Sequence[int]],
-        nonce: int,
+        nonce: Union[int, Sequence[int]],
         counters: Sequence[int],
     ) -> BatchedTranscipherResult:
         """Transcipher B full blocks with one circuit evaluation.
 
         ``ciphertext_blocks[b]`` must hold t elements encrypted under
-        ``(nonce, counters[b])``. Slot b of output ciphertext j encrypts
-        message element j of block b.
+        ``(nonce, counters[b])`` — or ``(nonce[b], counters[b])`` when
+        ``nonce`` is a sequence with one nonce per block, so blocks of
+        several frames share one evaluation. Slot b of output ciphertext j
+        encrypts message element j of block b.
         """
         from repro.obs import get_registry, get_tracer, record_headroom
         from repro.obs.cycles import modeled_cycle_attributes
         from repro.obs.noise import HEADROOM_ATTR, NOISE_ATTR
 
         params = self.params
+        pairs = block_pairs(nonce, counters)
         obs = get_registry()
         obs.counter(
             "hhe.transcipher.blocks", variant=params.name, omega=params.modulus_bits
-        ).inc(len(counters))
+        ).inc(len(pairs))
         # The modeled cycles are the accelerator's budget for deriving the
         # same keystream material — the hardware-comparable slice of the
         # homomorphic evaluation this stage performs.
@@ -318,10 +323,11 @@ class BatchedHheServer:
             variant=params.name,
             omega=params.modulus_bits,
             engine=self.eval_engine,
-            blocks=len(counters),
-            **modeled_cycle_attributes(params, len(counters)),
+            blocks=len(pairs),
+            frames=len({n for n, _ in pairs}),
+            **modeled_cycle_attributes(params, len(pairs)),
         ) as span:
-            result = self._evaluate(ciphertext_blocks, nonce, counters)
+            result = self._evaluate(ciphertext_blocks, pairs)
             # Ledger exit point: the worst modeled bound across the result
             # ciphertexts becomes the span's noise attributes and the
             # fhe.noise.headroom_bits gauge — no secret key involved.
@@ -337,76 +343,111 @@ class BatchedHheServer:
             return result
 
     def _evaluate(
-        self, ciphertext_blocks: Sequence[Sequence[int]], nonce: int, counters: Sequence[int]
+        self, ciphertext_blocks: Sequence[Sequence[int]], pairs: Tuple[Tuple[int, int], ...]
     ) -> BatchedTranscipherResult:
         """Pick this call's layout and run the round program on it."""
         t = self.params.t
-        if len(ciphertext_blocks) != len(counters):
+        if len(ciphertext_blocks) != len(pairs):
             raise ParameterError("one counter per block required")
-        if len(counters) > self.encoder.n:
+        if len(pairs) > self.encoder.n:
             raise ParameterError(f"at most {self.encoder.n} blocks per batch")
         for block in ciphertext_blocks:
             if len(block) != t:
                 raise ParameterError("batched transciphering requires full t-element blocks")
 
-        # One batched derivation for every block's materials; matrices are
-        # materialized through (and retained by) the engine's LRU cache, and
-        # the prepared-plaintext LRUs key off the same public schedule.
-        block_counters = tuple(int(c) for c in counters)
-        self.engine.materials(nonce, list(block_counters))
+        # One batched derivation of every block's materials; the layout
+        # builds its matrices from them and never goes back to the engine,
+        # so the call's cost does not depend on what the engine's LRU holds.
+        nonces = [n for n, _ in pairs]
+        counters = [c for _, c in pairs]
+        schedule = _Schedule(self.params, pairs, self.engine.materials(nonces, counters))
 
         group_size = None
-        if self.eval_engine == "bsgs" and len(block_counters) <= self._group_size:
-            layout: CircuitLayout = _PackedLayout(self, nonce, block_counters)
+        if self.eval_engine == "bsgs" and len(pairs) <= self._group_size:
+            layout: CircuitLayout = _PackedLayout(self, schedule)
             state = self._packed_key
             group_size = self._group_size
         elif self.eval_engine in ("tensor", "bsgs"):
             # A batch beyond the packed capacity falls back to the slot
             # layout (capacity n instead of n / 2t) for this call only.
-            layout = _TensorLayout(self, nonce, block_counters)
+            layout = _TensorLayout(self, schedule)
             key = self.scheme.stack_ciphertexts(self.encrypted_key)
             state = (key[:t], key[t:])
         else:
             layout = ListLayout(
                 SlotBackend(self.scheme, self.rlk),
-                _SlotConstants(self, nonce, block_counters),
+                _SlotConstants(self, schedule),
                 t,
                 span_engine="scalar",
-                blocks=len(block_counters),
+                blocks=len(pairs),
             )
             state = (self.encrypted_key[:t], self.encrypted_key[t:])
         out, ops = run_program(self.params, layout, state, ciphertext_blocks)
-        return BatchedTranscipherResult(out, list(block_counters), ops, group_size)
+        return BatchedTranscipherResult(
+            ciphertexts=out, nonces=nonces, counters=counters, ops=ops, group_size=group_size
+        )
+
+
+class _Schedule:
+    """One call's public ``(nonce, counter)`` pairs and their materials.
+
+    The layouts read every matrix and round constant from here: a
+    (layer, side) matrix stack is one :func:`batched_sequential_matrices`
+    call over the blocks' sampled first rows, kept for the call.
+    """
+
+    def __init__(
+        self,
+        params: PastaParams,
+        pairs: Tuple[Tuple[int, int], ...],
+        materials: Sequence[BlockMaterials],
+    ):
+        self.params = params
+        #: Key of every prepared-plaintext cache entry built for this call.
+        self.pairs = pairs
+        self.materials = materials
+        self._matrices: Dict[Tuple[int, str], np.ndarray] = {}
+
+    def matrices(self, layer: int, side: str) -> np.ndarray:
+        """``(B, t, t)``: block b's affine matrix for ``(layer, side)``."""
+        key = (layer, side)
+        if key not in self._matrices:
+            alphas = np.stack(
+                [getattr(m.layers[layer], f"alpha_{side}") for m in self.materials]
+            )
+            self._matrices[key] = batched_sequential_matrices(self.params, alphas)
+        return self._matrices[key]
+
+    def round_constants(self, layer: int, side: str) -> np.ndarray:
+        """``(B, t)``: block b's round constants for ``(layer, side)``."""
+        return np.stack([getattr(m.layers[layer], f"rc_{side}") for m in self.materials])
 
 
 class _SlotConstants:
     """The list layout's public constants as per-slot plaintexts: prepared
     handles from the server's caches, block ``b`` in slot ``b``."""
 
-    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+    def __init__(self, server: BatchedHheServer, schedule: _Schedule):
         self.server = server
-        self.nonce = nonce
-        self.counters = counters
+        self.schedule = schedule
 
     def affine(self, layer: int, side: str):
-        s, nonce, counters = self.server, self.nonce, self.counters
+        s, schedule = self.server, self.schedule
+        key = (schedule.pairs, layer, side)
 
         def entry(j: int, k: int):
             def build():
-                per_slot = [int(s.engine.matrix(nonce, c, layer, side)[j, k]) for c in counters]
+                per_slot = schedule.matrices(layer, side)[:, j, k].tolist()
                 return s.scheme.prepare_mul_plain(s.encoder.encode(per_slot))
 
-            return s._caches["matrix"].get_or_create((nonce, counters, layer, side, j, k), build)
+            return s._caches["matrix"].get_or_create(key + (j, k), build)
 
         def rc(j: int):
             def build():
-                per_slot = [
-                    int(getattr(s.engine.materials(nonce, [c])[0].layers[layer], f"rc_{side}")[j])
-                    for c in counters
-                ]
+                per_slot = schedule.round_constants(layer, side)[:, j].tolist()
                 return s.scheme.prepare_add_plain(s.encoder.encode(per_slot))
 
-            return s._caches["rc"].get_or_create((nonce, counters, layer, side, j), build)
+            return s._caches["rc"].get_or_create(key + (j,), build)
 
         return entry, rc
 
@@ -417,14 +458,13 @@ class _SlotConstants:
 class _ServerLayout(CircuitLayout):
     """A layout over one server's keys and caches, for one call's schedule."""
 
-    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
+    def __init__(self, server: BatchedHheServer, schedule: _Schedule):
         self.server = server
         self.scheme = server.scheme
         self.params = server.params
         self.t = server.params.t
-        self.nonce = nonce
-        self.counters = counters
-        self.blocks = len(counters)
+        self.schedule = schedule
+        self.blocks = len(schedule.pairs)
 
     def _minus(self, keystream: CiphertextTensor, encoded_rows: np.ndarray) -> List[Ciphertext]:
         """``c - KS``: one batched negate plus one prepared broadcast row add."""
@@ -447,31 +487,23 @@ class _TensorLayout(_ServerLayout):
 
     span_engine = "tensor"
 
-    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
-        super().__init__(server, nonce, counters)
+    def __init__(self, server: BatchedHheServer, schedule: _Schedule):
+        super().__init__(server, schedule)
         self.costs = slot_costs(self.t)
 
     def prepare_affine(self, layer: int, side: str):
-        s, nonce, counters, t = self.server, self.nonce, self.counters, self.t
-        key = (nonce, counters, layer, side)
+        s, schedule, t = self.server, self.schedule, self.t
+        key = (schedule.pairs, layer, side)
 
         def matrix():
             # All t^2 entries in ONE batched slot encode (slot b carries
             # block b's entry) and ONE batched residue NTT.
-            mats = np.stack(
-                [np.asarray(s.engine.matrix(nonce, c, layer, side)) for c in counters], axis=-1
-            )  # (t, t, B)
-            encoded = s.encoder.encode_rows(mats.reshape(t * t, len(counters)))
+            mats = np.moveaxis(schedule.matrices(layer, side), 0, -1)  # (t, t, B)
+            encoded = s.encoder.encode_rows(mats.reshape(t * t, self.blocks))
             return self.scheme.prepare_matrix(encoded.reshape(t, t, s.encoder.n))
 
         def rc():
-            rows = np.stack(
-                [
-                    np.asarray(getattr(m.layers[layer], f"rc_{side}"))
-                    for m in s.engine.materials(nonce, list(counters))
-                ],
-                axis=-1,
-            )  # (t, B)
+            rows = schedule.round_constants(layer, side).T  # (t, B)
             return self.scheme.prepare_add_rows(s.encoder.encode_rows(rows))
 
         return (
@@ -526,8 +558,8 @@ class _PackedLayout(_ServerLayout):
     sides = PACKED_SIDES
     span_engine = "bsgs"
 
-    def __init__(self, server: BatchedHheServer, nonce: int, counters: Tuple[int, ...]):
-        super().__init__(server, nonce, counters)
+    def __init__(self, server: BatchedHheServer, schedule: _Schedule):
+        super().__init__(server, schedule)
         self.hoisted = server.hoisted
         self.costs = packed_costs(self.t, self.hoisted)
 
@@ -567,20 +599,18 @@ class _PackedLayout(_ServerLayout):
     # -- program steps ---------------------------------------------------------
 
     def prepare_affine(self, layer: int, side: str):
-        s, nonce, counters, t = self.server, self.nonce, self.counters, self.t
+        s, schedule, t = self.server, self.schedule, self.t
         B = s._group_size
         half = t * B
         bs, giants = s._bsgs
-        n_blocks = len(counters)
+        n_blocks = self.blocks
 
         def diagonals(half_side: str):
             # The G*bs generalized diagonals of the blocked affine matrix,
             # pre-rotated for the giant-step Horner form, as ONE
             # (G, bs, L, N) prepared matmul tensor.
             def build():
-                mats = np.stack(
-                    [np.asarray(s.engine.matrix(nonce, c, layer, half_side)) for c in counters]
-                )  # (n_blocks, t, t)
+                mats = schedule.matrices(layer, half_side)  # (n_blocks, t, t)
                 rows = np.zeros((giants * bs, half), dtype=mats.dtype)
                 j = np.arange(t)
                 for d in range(min(giants * bs, t)):
@@ -593,21 +623,20 @@ class _PackedLayout(_ServerLayout):
                 )
 
             prepared = s._caches["diags_bsgs"].get_or_create(
-                (nonce, counters, layer, half_side), build
+                (schedule.pairs, layer, half_side), build
             )
             return self.scheme._take_prepared_tensor(prepared, "matmul")
 
         def rc():
-            materials = s.engine.materials(nonce, list(counters))
-            vals = np.asarray(
-                [[getattr(m.layers[layer], f"rc_{h}") for m in materials] for h in ("l", "r")]
-            ).transpose(0, 2, 1)  # (2, t, n_blocks)
+            vals = np.stack(
+                [schedule.round_constants(layer, h).T for h in ("l", "r")]
+            )  # (2, t, n_blocks)
             rows = np.zeros((2, t, B), dtype=vals.dtype)
             rows[:, :, :n_blocks] = vals
             return self.scheme.prepare_add_rows(s._encode_logical_rows(rows.reshape(2, half)))
 
         diags = [diagonals("l"), diagonals("r")]
-        return diags, s._caches["rc_bsgs"].get_or_create((nonce, counters, layer), rc)
+        return diags, s._caches["rc_bsgs"].get_or_create((schedule.pairs, layer), rc)
 
     def affine(self, state: CiphertextTensor, prepared) -> CiphertextTensor:
         """Both affine layer sides on the packed [L, R] pair, BSGS-style.

@@ -21,10 +21,11 @@ overlaps XOF squeezing, rejection sampling, and MatMul across blocks:
 * **MatGen / MatMul**: the sequential-matrix recurrence and the affine
   layers run across the batch axis (``einsum`` with overflow-safe
   accumulation from :meth:`repro.ff.prime.PrimeField.batched_mat_vec`).
-* **Caching**: a per-``(nonce, counter)`` LRU keeps both the sampled
-  materials and the materialized matrices, so repeated transciphering of
-  the same stream — the HHE server re-deriving what the client already
-  derived — never regenerates them.
+* **Caching**: a per-``(nonce, counter)`` LRU keeps the sampled materials
+  and any matrices materialized through :meth:`KeystreamEngine.matrix`,
+  so a pair served twice is not derived again. The batched HHE server
+  reads each call's materials from it once and builds its matrices
+  itself, so its calls do not depend on what the LRU holds.
 
 Everything is bit-exact with the scalar golden model: same word stream per
 lane, same accept/reject decisions, same field arithmetic. The test suite
@@ -38,7 +39,7 @@ import math
 import threading
 from collections import OrderedDict
 from dataclasses import dataclass, field as dataclass_field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -53,6 +54,7 @@ from repro.pasta.xof import encode_block_seed
 
 __all__ = [
     "KeystreamEngine",
+    "block_pairs",
     "generate_block_materials_batch",
     "generate_block_materials_pairs",
     "batched_sequential_matrices",
@@ -232,6 +234,27 @@ def generate_block_materials_batch(
     return generate_block_materials_pairs(params, [(nonce, int(c)) for c in counters])
 
 
+def block_pairs(
+    nonce: Union[int, Sequence[int]], counters: Sequence[int]
+) -> Tuple[Tuple[int, int], ...]:
+    """``(nonce, counter)`` per block, from one nonce or one nonce per block.
+
+    Raises :class:`ParameterError` when a nonce sequence's length differs
+    from ``counters``'.
+    """
+    counters = [int(c) for c in counters]
+    if isinstance(nonce, (int, np.integer)):
+        nonces = [int(nonce)] * len(counters)
+    else:
+        nonces = [int(n) for n in nonce]
+        if len(nonces) != len(counters):
+            raise ParameterError(
+                f"one nonce per block required: {len(nonces)} nonces "
+                f"for {len(counters)} counters"
+            )
+    return tuple(zip(nonces, counters))
+
+
 def batched_sequential_matrices(params: PastaParams, alphas: np.ndarray) -> np.ndarray:
     """Materialize N sequential matrices at once: ``(N, t) -> (N, t, t)``.
 
@@ -401,9 +424,15 @@ class KeystreamEngine:
 
     # -- public API ----------------------------------------------------------
 
-    def materials(self, nonce: int, counters: Sequence[int]) -> List[BlockMaterials]:
-        """Block materials for every counter (cache-backed, batch-derived)."""
-        return [e.materials for e in self._entries(nonce, counters)]
+    def materials(
+        self, nonce: Union[int, Sequence[int]], counters: Sequence[int]
+    ) -> List[BlockMaterials]:
+        """Block materials for every counter (cache-backed, batch-derived).
+
+        ``nonce`` is one nonce for every counter or one nonce per counter;
+        either way the misses are derived in one batched pass.
+        """
+        return self.materials_pairs(block_pairs(nonce, counters))
 
     def materials_pairs(self, pairs: Sequence[Tuple[int, int]]) -> List[BlockMaterials]:
         """Block materials for arbitrary (nonce, counter) pairs (cache-backed)."""

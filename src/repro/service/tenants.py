@@ -78,6 +78,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.apps.packing import pixels_per_element
 from repro.apps.video import NonceSequence, Resolution, synthetic_frames_batch
 from repro.errors import ParameterError, ServiceError
 from repro.keccak.shake import shake128
@@ -155,7 +156,10 @@ class MultiTenantConfig:
     n_shards: int = 2
     workers_per_shard: int = 1
     batch_frames: int = 32  #: frames per producer encrypt pass (across tenants)
-    worker_batch: int = 16  #: frames a shard worker drains per recovery pass
+    #: Frames a shard worker drains per recovery pass. In hhe mode each
+    #: tenant's drained frames share one transcipher call per N blocks,
+    #: so this also bounds how wide a pack gets.
+    worker_batch: int = 16
     queue_capacity: int = 64  #: per-shard uplink bound (backpressure)
     max_active_sessions: int = 1024  #: admission bound on in-flight sessions
     timeout_seconds: float = 0.01  #: sender's delivery timeout (drop detection)
@@ -202,6 +206,19 @@ class MultiTenantConfig:
             raise ParameterError("engine_cache_blocks must be >= 0")
         if not 0.0 <= self.backoff_jitter <= 1.0:
             raise ParameterError(f"backoff_jitter must be in [0, 1], got {self.backoff_jitter}")
+        if self.mode == "hhe":
+            # Transciphering takes whole t-element blocks only; catch a tile
+            # that does not fill them here, not in a shard worker mid-run.
+            block_pixels = self.params.t * pixels_per_element(self.params.p)
+            for spec in self.tenants:
+                for resolution in (spec.resolution,) + spec.degradation_ladder:
+                    if resolution.pixels % block_pixels:
+                        raise ParameterError(
+                            f"hhe mode: tenant {spec.tenant_id!r} resolution "
+                            f"{resolution.name} ({resolution.pixels} pixels) does not "
+                            f"fill whole {self.params.t}-element blocks of "
+                            f"{block_pixels} pixels under {self.params.name}"
+                        )
 
     @property
     def total_sessions(self) -> int:
@@ -291,11 +308,15 @@ class AdmissionController:
 class HheRecovery:
     """Full HHE receive path: batched BFV transciphering, then decryption.
 
-    The worker transciphers each frame's blocks into slot-packed BFV
+    The worker transciphers a tenant's drained frames into slot-packed BFV
     ciphertexts with :class:`~repro.hhe.batched.BatchedHheServer` (the
-    cloud's view of recovery); the adapter then decrypts with the client
-    secret key purely so the sink can verify bit-exactness — a real
-    deployment would hand the ciphertexts onward instead.
+    cloud's view of recovery). The frames' blocks are packed into one
+    call per ``encoder.n`` blocks (one block per slot, each under its own
+    frame's nonce), so a drained batch of ``worker_batch`` frames costs
+    about one evaluation instead of one per frame. The adapter then
+    decrypts each call's result with the client secret key purely so the
+    sink can verify bit-exactness — a real deployment would hand the
+    ciphertexts onward instead.
     """
 
     def __init__(
@@ -335,16 +356,31 @@ class HheRecovery:
 
     def recover_batch(self, frames: Sequence[Tuple[WireFrame, np.ndarray]]) -> List[np.ndarray]:
         t = self.params.t
-        out: List[np.ndarray] = []
-        for wire, elements in frames:
+        # Validate every frame before transciphering any: a bad frame must
+        # not fail a pack halfway through.
+        for _, elements in frames:
             if len(elements) % t:
                 raise ParameterError("hhe mode requires full t-element blocks per frame")
-            blocks = elements.reshape(-1, t).tolist()
-            counters = list(range(len(blocks)))
-            result = self.server.transcipher_blocks(blocks, wire.nonce, counters)
-            messages = self._decrypt(self.scheme, self.sk, self.encoder, result)
-            out.append(np.array([v for block in messages for v in block], dtype=np.int64))
-        return out
+        if not frames:
+            return []
+        blocks = np.concatenate([elements for _, elements in frames]).reshape(-1, t).tolist()
+        nonces: List[int] = []
+        counters: List[int] = []
+        for wire, elements in frames:
+            n_blocks = len(elements) // t
+            nonces.extend([wire.nonce] * n_blocks)
+            counters.extend(range(n_blocks))
+        width = self.encoder.n
+        messages: List[List[int]] = []
+        for start in range(0, len(blocks), width):
+            end = start + width
+            result = self.server.transcipher_blocks(
+                blocks[start:end], nonces[start:end], counters[start:end]
+            )
+            messages.extend(self._decrypt(self.scheme, self.sk, self.encoder, result))
+        flat = np.array(messages, dtype=np.int64).reshape(-1)
+        bounds = np.cumsum([len(elements) for _, elements in frames])[:-1]
+        return np.split(flat, bounds)
 
 
 class TenantRuntime:

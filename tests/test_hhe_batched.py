@@ -141,6 +141,98 @@ class TestBatchedTransciphering:
             assert scheme.noise_budget_bits(sk, out) > 10
 
 
+class TestPerBlockNonces:
+    """``nonce`` as one nonce per block: several frames share one evaluation."""
+
+    @pytest.fixture(scope="class")
+    def session(self, ctx):
+        scheme, sk, pk, rlk, encoder = ctx
+        key = random_key(PASTA_MICRO, b"per-block-nonces")
+        enc_key = encrypt_key_batched(scheme, pk, encoder, [int(k) for k in key])
+        servers = {
+            eng: BatchedHheServer(PASTA_MICRO, scheme, rlk, encoder, enc_key, engine=eng)
+            for eng in ("scalar", "tensor")
+        }
+        return Pasta(PASTA_MICRO, key), servers
+
+    @staticmethod
+    def _blocks(cipher, messages, nonces, counters):
+        return [
+            [int(x) for x in cipher.encrypt_block(m, n, c)]
+            for m, n, c in zip(messages, nonces, counters)
+        ]
+
+    def test_int_nonce_equals_the_repeated_sequence(self, ctx, session):
+        scheme = ctx[0]
+        cipher, servers = session
+        messages = [[1, 2], [3, 4], [5, 6]]
+        blocks = self._blocks(cipher, messages, [41] * 3, [0, 1, 2])
+        server = servers["tensor"]
+        as_int = server.transcipher_blocks(blocks, 41, [0, 1, 2])
+        as_seq = server.transcipher_blocks(blocks, [41, 41, 41], [0, 1, 2])
+        assert _ciphertext_ints(scheme, as_int) == _ciphertext_ints(scheme, as_seq)
+        assert as_int.ops == as_seq.ops
+        assert as_int.nonces == as_seq.nonces == [41, 41, 41]
+
+    def test_mixed_nonces_decrypt_and_match_across_engines(self, ctx, session):
+        from repro.obs import get_tracer
+
+        scheme, sk, _, _, encoder = ctx
+        cipher, servers = session
+        messages = [[7, 8], [9, 10], [11, 12], [13, 14]]
+        nonces, counters = [51, 51, 52, 53], [0, 1, 0, 0]
+        blocks = self._blocks(cipher, messages, nonces, counters)
+        results = {
+            eng: server.transcipher_blocks(blocks, nonces, counters)
+            for eng, server in servers.items()
+        }
+        tensor = results["tensor"]
+        assert decrypt_batched_result(scheme, sk, encoder, tensor) == messages
+        assert (tensor.nonces, tensor.counters) == (nonces, counters)
+        assert tensor.ops == results["scalar"].ops
+        assert _ciphertext_ints(scheme, tensor) == _ciphertext_ints(
+            scheme, results["scalar"]
+        )
+        spans = get_tracer().spans_named("hhe.transcipher")
+        assert [(s.attributes["blocks"], s.attributes["frames"]) for s in spans] == [
+            (4, 3), (4, 3),
+        ]
+
+    def test_nonce_count_mismatch(self, session):
+        _, servers = session
+        with pytest.raises(ParameterError, match="one nonce per block"):
+            servers["tensor"].transcipher_blocks([[1, 2], [3, 4]], [1, 2, 3], [0, 1])
+
+    def test_materials_derived_once_past_the_engine_cache(self, ctx, session, monkeypatch):
+        """A call wider than the engine's LRU derives each block exactly once."""
+        from repro.pasta import batch
+
+        scheme, sk, _, _, encoder = ctx
+        cipher, servers = session
+        server = servers["tensor"]
+        n_blocks = batch.DEFAULT_CACHE_BLOCKS + 1
+        assert server.engine.cache_size == batch.DEFAULT_CACHE_BLOCKS
+        derived = []
+        generate = batch.generate_block_materials_pairs
+
+        def counting(params, pairs):
+            derived.extend(pairs)
+            return generate(params, pairs)
+
+        monkeypatch.setattr(batch, "generate_block_materials_pairs", counting)
+        nonces = [900_001 + b // 8 for b in range(n_blocks)]  # frames of 8 blocks
+        counters = [b % 8 for b in range(n_blocks)]
+        messages = [[b, b + 1] for b in range(n_blocks)]
+        blocks = self._blocks(cipher, messages, nonces, counters)
+        before = server.engine.cache_info()
+        result = server.transcipher_blocks(blocks, nonces, counters)
+        after = server.engine.cache_info()
+        assert after.misses - before.misses == n_blocks
+        assert after.hits == before.hits
+        assert sorted(derived) == sorted(zip(nonces, counters))
+        assert decrypt_batched_result(scheme, sk, encoder, result) == messages
+
+
 class TestEvalEngineSelection:
     def test_unknown_engine_rejected(self, ctx):
         scheme, _, pk, rlk, encoder = ctx

@@ -132,6 +132,15 @@ class TestSharedServerThreads:
         "engine,formula", [("tensor", "slots"), ("bsgs", "bsgs_hoisted")]
     )
     def test_concurrent_calls_keep_their_own_counts(self, rig, engine, formula):
+        self._run_concurrent(rig, engine, formula, mixed=False)
+
+    @pytest.mark.parametrize(
+        "engine,formula", [("tensor", "slots"), ("bsgs", "bsgs_hoisted")]
+    )
+    def test_concurrent_mixed_nonce_calls_keep_their_own_counts(self, rig, engine, formula):
+        self._run_concurrent(rig, engine, formula, mixed=True)
+
+    def _run_concurrent(self, rig, engine, formula, mixed):
         scheme, sk, _, _, encoder, cipher, _ = rig
         server = _server(rig, engine)
         assert server.eval_engine == engine
@@ -147,11 +156,16 @@ class TestSharedServerThreads:
                     nonce = 1000 + index * CALLS_PER_THREAD + call
                     messages = [[(nonce + b + j) % PASTA_MICRO.p for j in range(2)]
                                 for b in range(2)]
+                    # Mixed: two one-block frames packed into one call.
+                    nonces = [nonce, nonce + 500] if mixed else [nonce, nonce]
+                    counters = [0, 0] if mixed else [0, 1]
                     blocks = [
-                        [int(x) for x in cipher.encrypt_block(m, nonce=nonce, counter=c)]
-                        for c, m in enumerate(messages)
+                        [int(x) for x in cipher.encrypt_block(m, nonce=n, counter=c)]
+                        for m, n, c in zip(messages, nonces, counters)
                     ]
-                    result = server.transcipher_blocks(blocks, nonce=nonce, counters=[0, 1])
+                    result = server.transcipher_blocks(
+                        blocks, nonce=nonces if mixed else nonce, counters=counters
+                    )
                     outcomes.append((messages, result))
             except Exception as exc:  # surfaced below, on the test thread
                 errors.append(exc)

@@ -14,15 +14,29 @@ The isolation claims under test:
   back bit-exact with zero loss and a bounded global cache.
 """
 
+import threading
+
 import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
-from repro.apps.video import synthetic_frame
+from repro.apps.video import synthetic_frame, synthetic_frames_batch
 from repro.errors import ParameterError, ServiceError
+from repro.obs import get_registry, get_tracer
+from repro.pasta import Pasta
 from repro.pasta.batch import KeystreamEngine
-from repro.pasta.params import PASTA_MICRO, PASTA_TOY
-from repro.service import FaultPlan, MultiTenantConfig, MultiTenantService, TenantSpec
+from repro.pasta.params import PASTA_3, PASTA_MICRO, PASTA_TOY
+from repro.service import (
+    TILE8,
+    TILE16,
+    FaultPlan,
+    HheRecovery,
+    MultiTenantConfig,
+    MultiTenantService,
+    TenantSpec,
+    WireFrame,
+    pack_frames,
+)
 from repro.service.tenants import AdmissionController, ShardRouter, derive_tenant_key
 from repro.utils.budget import CacheBudget
 
@@ -286,3 +300,105 @@ class TestEndToEnd:
             TenantSpec("")
         with pytest.raises(ParameterError):
             TenantSpec("x", sessions=0)
+
+    def test_hhe_config_rejects_tiles_that_leave_a_partial_block(self):
+        # PASTA_3 blocks hold t = 128 elements = 256 pixels: TILE8 (64
+        # pixels) leaves a partial block, TILE16 (256 pixels) fills one.
+        with pytest.raises(ParameterError, match=r"'cam'.*TILE8"):
+            MultiTenantConfig(tenants=(TenantSpec("cam"),), params=PASTA_3, mode="hhe")
+        with pytest.raises(ParameterError, match=r"'cam'.*TILE8"):
+            MultiTenantConfig(
+                tenants=(TenantSpec("cam", resolution=TILE16, degradation_ladder=(TILE8,)),),
+                params=PASTA_3,
+                mode="hhe",
+            )
+        MultiTenantConfig(
+            tenants=(TenantSpec("cam", resolution=TILE16),), params=PASTA_3, mode="hhe"
+        )
+        MultiTenantConfig(tenants=(TenantSpec("cam"),), params=PASTA_3)  # symmetric
+
+
+def _transcipher_calls():
+    return get_registry().histogram("hhe.transcipher.seconds").count
+
+
+class TestHhePacking:
+    """``HheRecovery`` packs a tenant's drained frames into shared calls."""
+
+    @pytest.fixture(scope="class")
+    def rig(self):
+        key = derive_tenant_key(PASTA_TOY, "packer")
+        return HheRecovery(PASTA_TOY, key, b"packing", n=64), Pasta(PASTA_TOY, key)
+
+    @staticmethod
+    def _frames(cipher, uids):
+        """One TILE8 frame per uid (8 PASTA_TOY blocks), encrypted under nonce uid."""
+        elements = pack_frames(synthetic_frames_batch(TILE8, uids), PASTA_TOY.p)
+        frames = []
+        for uid, row in zip(uids, elements):
+            ct = cipher.encrypt(row.tolist(), uid, allow_nonce_reuse=True)
+            wire = WireFrame(uid, 0, uid, "packer", 0, TILE8, b"", 0)
+            frames.append((wire, np.asarray(ct, dtype=np.int64)))
+        return frames, list(elements)
+
+    def test_packed_frames_equal_single_frame_calls(self, rig):
+        recovery, cipher = rig
+        frames, plain = self._frames(cipher, [11, 12, 13])
+        singles = [recovery.recover_batch([frame])[0] for frame in frames]
+        calls = _transcipher_calls()
+        packed = recovery.recover_batch(frames)
+        assert _transcipher_calls() - calls == 1
+        for got, single, expected in zip(packed, singles, plain):
+            assert np.array_equal(got, single)
+            assert np.array_equal(got, expected)
+
+    def test_wider_than_n_splits_into_calls_of_n_blocks(self, rig):
+        recovery, cipher = rig
+        assert recovery.encoder.n == 64
+        frames, plain = self._frames(cipher, list(range(100, 109)))  # 72 blocks
+        recovered = recovery.recover_batch(frames)
+        spans = get_tracer().spans_named("hhe.transcipher")
+        assert [(s.attributes["blocks"], s.attributes["frames"]) for s in spans] == [
+            (64, 8), (8, 1),
+        ]
+        assert len(recovered) == 9
+        for got, expected in zip(recovered, plain):
+            assert np.array_equal(got, expected)
+
+    def test_a_bad_frame_fails_the_batch_before_any_call(self, rig):
+        recovery, cipher = rig
+        frames, _ = self._frames(cipher, [21, 22])
+        wire, elements = frames[1]
+        with pytest.raises(ParameterError, match="full t-element blocks"):
+            recovery.recover_batch([frames[0], (wire, elements[:-1])])
+        assert _transcipher_calls() == 0
+
+    def test_a_drained_batch_is_one_call(self):
+        # Workers are held until all four frames sit in the shard queue, so
+        # the single worker drains them as one batch of worker_batch = 4.
+        gate = threading.Event()
+        config = MultiTenantConfig(
+            tenants=(TenantSpec("a", sessions=1, frames_per_session=4),),
+            params=PASTA_MICRO,
+            mode="hhe",
+            n_shards=1,
+            batch_frames=4,
+            worker_batch=4,
+        )
+        service = MultiTenantService(config, FaultPlan(), worker_gate=gate)
+        runner = threading.Thread(target=lambda: setattr(service, "_test_result", service.run()))
+        runner.start()
+        for _ in range(2000):
+            if service._uplinks[0].qsize() == 4:
+                break
+            threading.Event().wait(0.005)
+        assert service._uplinks[0].qsize() == 4
+        gate.set()
+        runner.join(timeout=120)
+        assert not runner.is_alive()
+        assert service._test_result.frames_lost == 0
+        assert _transcipher_calls() == 1
+        (span,) = get_tracer().spans_named("hhe.transcipher")
+        assert (span.attributes["blocks"], span.attributes["frames"]) == (64, 4)
+        for uid, job in service._frames.items():
+            assert service.recovered_pixels(uid) == bytes(synthetic_frame(job.resolution, uid))
